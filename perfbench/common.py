@@ -28,6 +28,8 @@ WORK = ROOT / ".perfbench"
 
 #: worker processes the grid workloads ask for (clamped to the host)
 GRID_JOBS = 2
+#: set-ups per run (probes or daemon starts); ``setup_s`` is their median
+SETUP_REPEATS = 5
 
 
 class LayoutError(RuntimeError):

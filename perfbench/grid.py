@@ -16,7 +16,6 @@ fingerprint. A cell that fails a check is a failed operation.
 
 from __future__ import annotations
 
-import os
 import random
 import shutil
 from typing import Dict, List, Optional, Tuple
@@ -24,10 +23,10 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from common import (
-    GRID_JOBS, WORK, clamp_jobs, digest, median, now, peak_rss_mb, percentile,
-    probe_setup, scratch_dir,
+    GRID_JOBS, SETUP_REPEATS, clamp_jobs, digest, median, now, peak_rss_mb,
+    percentile, probe_setup, scratch_dir, wait_children,
 )
-from speed import SpeedSampler, adjust, pinned, usable_cpus
+from speed import Calibration, pinned, usable_cpus
 
 DATASETS = ("twitter", "uk0705", "wrn")
 CLUSTER_SIZES = (16, 64)
@@ -167,7 +166,8 @@ def fingerprint(results: list) -> dict:
 def run_pass(specs: list, jobs: int, cache, tracer=None) -> Tuple[object, float]:
     """One timed grid execution; returns (GridExecution, host seconds).
 
-    A ``tracer`` is reset and installed for exactly this pass.
+    A ``tracer`` is reset and installed for exactly this pass. The pass
+    returns once its pool workers have ended.
     """
     from repro.exec import execute_specs
 
@@ -181,15 +181,16 @@ def run_pass(specs: list, jobs: int, cache, tracer=None) -> Tuple[object, float]
     finally:
         if tracer is not None:
             tracer.uninstall()
+        wait_children()
     return execution, seconds
 
 
-def check_cold(execution, specs, checker: AnswerChecker) -> List[str]:
+def check_cold(results: list, specs, checker: AnswerChecker) -> List[str]:
     """Every cell present and answered right; one message per bad cell."""
     problems = []
-    if len(execution.results) != len(specs):
-        problems.extend(["missing cell"] * (len(specs) - len(execution.results)))
-    for result in execution.results:
+    if len(results) != len(specs):
+        problems.extend(["missing cell"] * (len(specs) - len(results)))
+    for result in results:
         why = checker.check(result)
         if why is not None:
             problems.append(f"{cell_of(result)}: {why}")
@@ -221,8 +222,8 @@ def compare_to(execution, baseline: Dict[tuple, Tuple[object, str]],
     return problems
 
 
-def baseline_of(execution) -> Dict[tuple, Tuple[object, str]]:
-    return {cell_of(r): (r, journal_text(r)) for r in execution.results}
+def baseline_of(results: list) -> Dict[tuple, Tuple[object, str]]:
+    return {cell_of(r): (r, journal_text(r)) for r in results}
 
 
 def clear_dataset_memo() -> None:
@@ -238,6 +239,11 @@ class GridRun:
     """State shared by one grid workload run: specs, checks, tallies."""
 
     def __init__(self, seed: int) -> None:
+        from repro.datasets.registry import load_dataset
+
+        # generated once here, so forked pool workers start with them
+        for name in DATASETS:
+            load_dataset(name, SIZE)
         self.specs = cell_specs(seed)
         self.cells = len(self.specs)
         self.checker = AnswerChecker()
@@ -246,7 +252,7 @@ class GridRun:
         self.problems: List[str] = []
         self.fingerprint: Optional[dict] = None
 
-    def tally(self, execution, problems: List[str], replay: bool = False) -> None:
+    def tally(self, results: list, problems: List[str], replay: bool = False) -> None:
         """Count a pass; a cold pass must reproduce the first fingerprint.
 
         A replay is compared cell by cell against the cold baseline
@@ -256,7 +262,7 @@ class GridRun:
         self.problems.extend(problems)
         if replay:
             return
-        fp = fingerprint(execution.results)
+        fp = fingerprint(results)
         if self.fingerprint is None:
             self.fingerprint = fp
         elif fp != self.fingerprint:
@@ -273,7 +279,7 @@ class GridRun:
             execution, seconds = run_pass(self.specs, jobs, cache_dir, tracer)
         finally:
             shutil.rmtree(cache_dir, ignore_errors=True)
-        self.tally(execution, check_cold(execution, self.specs, self.checker))
+        self.tally(execution.results, check_cold(execution.results, self.specs, self.checker))
         return execution, seconds
 
     @property
@@ -294,56 +300,56 @@ def e2e_metrics(run: GridRun, walls: List[float], setups: List[float]) -> dict:
     }
 
 
-def sampler() -> SpeedSampler:
-    """Speed units on every usable CPU, for the whole run."""
-    return SpeedSampler(usable_cpus(), 0.2, WORK / f"speed-{os.getpid()}.txt")
+#: fewest passes in a grid-cold run, so that its median pass rests on
+#: three even while the host runs slow
+MIN_COLD_PASSES = 3
 
 
-def timed_probes(repeats: int) -> List[Tuple[float, float]]:
-    """(start, seconds) of each set-up probe."""
-    spans = []
-    for _ in range(repeats):
-        start = now()
-        spans.append((start, probe_setup(DATASETS, SIZE)))
-    return spans
+def timed_probes(speed: Calibration) -> List[float]:
+    """Set-up probes, each at the reference speed."""
+    return [probe_setup(DATASETS, SIZE) * speed.scale() for _ in range(SETUP_REPEATS)]
 
 
-def adjusted(speed: SpeedSampler, spans, cpu: Optional[int] = None) -> List[float]:
-    """Each (start, seconds) span at the reference speed."""
-    return [adjust(seconds, speed.unit(start, start + seconds, cpu))
-            for start, seconds in spans]
-
-
-def grid_cold(seed: int, seconds: float, setup_repeats: int) -> dict:
+def grid_cold(seed: int, seconds: float) -> dict:
     """Untraced cold grid: timed passes into empty caches.
 
-    The pool's workers run on every CPU, so a pass is adjusted by the
-    mean speed unit sampled on all CPUs while it ran.
+    The pool's workers run on every CPU, so each pass is adjusted by the
+    mean unit over all CPUs, calibrated before and after it.
     """
-    from repro.datasets.registry import load_dataset
-
     run = GridRun(seed)
-    for name in DATASETS:
-        load_dataset(name, SIZE)
-    passes: List[Tuple[float, float]] = []
-    with sampler() as speed:
-        probes = timed_probes(setup_repeats)
-        while not passes or sum(w for _, w in passes) < seconds:
-            start = now()
-            _, wall = run.cold_pass(run.jobs["jobs"])
-            passes.append((start, wall))
-    walls = adjusted(speed, passes)
-    return {"run": run, "walls": walls, "raw_walls": [w for _, w in passes],
-            "units": speed.units(),
-            "metrics": e2e_metrics(run, walls, adjusted(speed, probes))}
+    speed = Calibration(usable_cpus())
+    setups = timed_probes(speed)
+    raw: List[float] = []
+    walls: List[float] = []
+    while len(raw) < MIN_COLD_PASSES or sum(raw) < seconds:
+        _, wall = run.cold_pass(run.jobs["jobs"])
+        raw.append(wall)
+        walls.append(wall * speed.scale())
+    return {"run": run, "walls": walls, "raw_walls": raw, "units": speed.units,
+            "metrics": e2e_metrics(run, walls, setups)}
 
 
-def fill_cache(run: GridRun) -> Tuple[object, float, object]:
-    """Set-up for the warm grid: the cold grid into a cache kept for replay."""
+#: the warm grid's cache is filled in this many chunks, each adjusted by
+#: the calibrations around it: a whole grid in one stretch would be
+#: adjusted by the host's speed at two instants only
+FILL_CHUNKS = 4
+
+
+def fill_cache(run: GridRun, speed: Calibration) -> Tuple[list, float, object]:
+    """Set-up for the warm grid: the cold grid into a cache kept for replay.
+
+    Returns the cells' results, the fill's seconds at the reference
+    speed, and the cache directory.
+    """
     cache_dir = scratch_dir("warm")
-    execution, seconds = run_pass(run.specs, run.jobs["jobs"], cache_dir)
-    run.tally(execution, check_cold(execution, run.specs, run.checker))
-    return execution, seconds, cache_dir
+    results: list = []
+    seconds = 0.0
+    for chunk in range(FILL_CHUNKS):
+        execution, wall = run_pass(run.specs[chunk::FILL_CHUNKS], run.jobs["jobs"], cache_dir)
+        seconds += wall * speed.scale()
+        results.extend(execution.results)
+    run.tally(results, check_cold(results, run.specs, run.checker))
+    return results, seconds, cache_dir
 
 
 #: a warm pass compares the journals of one cell in this many (rotating,
@@ -359,38 +365,37 @@ def warm_pass(run: GridRun, cache_dir, baseline, index: int,
     problems = compare_to(execution, baseline, share)
     misses = execution.report.cells - execution.report.cache_hits
     problems.extend(["warm cell was not a cache hit"] * misses)
-    run.tally(execution, problems, replay=True)
+    run.tally(execution.results, problems, replay=True)
     return execution, wall
 
 
-def grid_warm(seed: int, seconds: float, setup_repeats: int) -> dict:
+def grid_warm(seed: int, seconds: float) -> dict:
     """Untraced warm grid: set-up fills the cache, passes replay it.
 
-    Set-up is the median of ``setup_repeats`` import-and-generate probes
-    plus one cache fill (a whole cold grid, too long to repeat per run).
-    Replays run inline on one pinned CPU and are adjusted by the speed
-    sampled on that CPU.
+    Set-up is the median of the import-and-generate probes plus one cache
+    fill (a whole cold grid, too long to repeat per run). Replays run
+    inline on one pinned CPU and are adjusted by that CPU's unit.
     """
     run = GridRun(seed)
+    speed = Calibration(usable_cpus())
+    probes = timed_probes(speed)
+    results, fill, cache_dir = fill_cache(run, speed)
+    setup = median(probes) + fill
+    baseline = baseline_of(results)
     cpu = usable_cpus()[-1]
-    passes: List[Tuple[float, float]] = []
-    with sampler() as speed:
-        probes = timed_probes(setup_repeats)
-        start = now()
-        execution, fill, cache_dir = fill_cache(run)
-        baseline = baseline_of(execution)
-        try:
-            with pinned(cpu):
-                while not passes or sum(w for _, w in passes) < seconds:
-                    begin = now()
-                    _, wall = warm_pass(run, cache_dir, baseline, len(passes))
-                    passes.append((begin, wall))
-        finally:
-            shutil.rmtree(cache_dir, ignore_errors=True)
-    walls = adjusted(speed, passes, cpu)
-    setup = median(adjusted(speed, probes)) + adjusted(speed, [(start, fill)])[0]
-    return {"run": run, "walls": walls, "raw_walls": [w for _, w in passes],
-            "units": speed.units(), "fill_s": fill,
+    raw: List[float] = []
+    walls: List[float] = []
+    try:
+        with pinned(cpu):
+            replay_speed = Calibration([cpu])
+            while not raw or sum(raw) < seconds:
+                _, wall = warm_pass(run, cache_dir, baseline, len(raw))
+                raw.append(wall)
+                walls.append(wall * replay_speed.scale())
+    finally:
+        shutil.rmtree(cache_dir, ignore_errors=True)
+    return {"run": run, "walls": walls, "raw_walls": raw, "fill_s": fill,
+            "units": speed.units + replay_speed.units,
             "metrics": e2e_metrics(run, walls, [setup])}
 
 
@@ -435,7 +440,7 @@ def grid_cold_traced(seed: int, seconds: float) -> dict:
         traced.append(wall)
         profiles.append(profile(tracer, wall, execution.report.cache_hits,
                                 execution.report.executed))
-        problems = compare_to(execution, baseline_of(inline))
+        problems = compare_to(execution, baseline_of(inline.results))
         run.problems.extend(f"traced run changed {p}" for p in problems)
         pool, wall = run.cold_pass(run.jobs["jobs"])
         pooled.append(wall)
@@ -450,8 +455,8 @@ def grid_warm_traced(seed: int, seconds: float) -> dict:
     from layers import LayerTracer, profile
 
     run = GridRun(seed)
-    execution, _, cache_dir = fill_cache(run)
-    baseline = baseline_of(execution)
+    results, _, cache_dir = fill_cache(run, Calibration(usable_cpus()))
+    baseline = baseline_of(results)
     tracer = LayerTracer()
     untraced, traced, profiles, busy, retries = [], [], [], [], 0
     try:

@@ -14,9 +14,11 @@ record (fingerprint, host context, samples) goes to
 ``.perfbench/records/``.
 
 Every run checks the program's answers; a wrong answer is a failed
-operation, never a fast one. The workloads, and why each was chosen,
-are listed in ``WORKLOADS`` below and in ``BENCHMARK.json``; what each
-metric means on each workload is in ``README.md``.
+operation, never a fast one. The workloads and why each was chosen, and
+the metrics with their units and bounds, are defined in
+``BENCHMARK.json``; which layers each workload runs through is in
+``LAYERS`` below; what each metric means on each workload is in
+``README.md``.
 """
 
 from __future__ import annotations
@@ -27,96 +29,42 @@ import sys
 from typing import Dict, List, Optional
 
 from common import (
-    LayoutError, WORK, host_cpus, load_average, median, use_checkout_source,
-    wait_children, write_record,
+    ROOT, LayoutError, WORK, host_cpus, load_average, median,
+    use_checkout_source, wait_children, write_record,
 )
 
-WORKLOADS: Dict[str, Dict[str, object]] = {
+#: workloads, metrics, units and bounds are defined once, in BENCHMARK.json
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+WHY = {w["name"]: w["why"] for w in SPEC["workloads"]}
+END_TO_END = {m["name"]: m["unit"] for m in SPEC["end_to_end"]}
+PER_LAYER = {m["name"]: m["unit"] for m in SPEC["per_layer"]}
+
+#: the layers each workload runs through, and those it leaves out
+LAYERS = {
     "grid-cold": {
-        "why": "132 Fig 6 PageRank + Fig 8 SSSP cells into an empty cache with "
-               "jobs=2 (never above nproc): engines, partitioning, cluster "
-               "accounting and kernels do nearly all the work.",
         "exercises": ["datasets", "exec", "engines", "partitioning", "cluster",
                       "workloads", "obs", "serialize", "cache (writes)"],
         "bypasses": ["cache reads", "serve"],
     },
     "grid-warm": {
-        "why": "the same 132 cells replayed from the cache set-up filled: cache "
-               "reads, payload decoding, journal parsing and cost aggregation "
-               "with no engine work.",
         "exercises": ["exec", "cache (reads)", "serialize (decode)", "obs"],
         "bypasses": ["engines", "partitioning", "cluster", "workloads", "serve"],
     },
     "serve-zipf": {
-        "why": "open loop, seeded Poisson arrivals at 25 jobs/s of Zipf(1.2) "
-               "tiny cells to a repro serve subprocess with a 12-cell LRU "
-               "cache: queueing, admission and mixed cache read/write/evict.",
         "exercises": ["serve", "cache (read/write/evict)", "exec", "engines",
                       "serialize", "obs"],
         "bypasses": ["process pool"],
     },
 }
 
-#: (name, unit, better, bound): measured with tracing off
-END_TO_END = (
-    ("setup_s", "s", "lower", 0.25),
-    ("cells_per_s", "1/s", "higher", 0.15),
-    ("latency_p50_s", "s", "lower", 0.25),
-    ("latency_p95_s", "s", "lower", 0.25),
-    ("goodput_frac", "frac", "higher", 0.05),
-    ("peak_rss_mb", "MiB", "lower", 0.15),
-)
 
-#: (name, unit, better): from the separate traced run
-PER_LAYER = (
-    ("partitioning.self_s", "s", "lower"),
-    ("partitioning.calls", "count", "lower"),
-    ("cluster.self_s", "s", "lower"),
-    ("cluster.calls", "count", "lower"),
-    ("cluster.tracker_records", "count", "lower"),
-    ("engines.self_s", "s", "lower"),
-    ("engines.supersteps", "count", "lower"),
-    ("engines.sim_failures", "count", "lower"),
-    ("workloads.self_s", "s", "lower"),
-    ("workloads.supersteps", "count", "lower"),
-    ("datasets.load_s", "s", "lower"),
-    ("obs.journal_s", "s", "lower"),
-    ("obs.journal_bytes", "bytes", "lower"),
-    ("serialize.encode_s", "s", "lower"),
-    ("serialize.decode_s", "s", "lower"),
-    ("serialize.payload_bytes", "bytes", "lower"),
-    ("cache.key_s", "s", "lower"),
-    ("cache.get_s", "s", "lower"),
-    ("cache.put_s", "s", "lower"),
-    ("cache.hits", "count", "higher"),
-    ("cache.misses", "count", "lower"),
-    ("cache.hit_ratio", "frac", "higher"),
-    ("cache.evictions", "count", "lower"),
-    ("exec.plan_s", "s", "lower"),
-    ("exec.pool_busy_frac", "frac", "higher"),
-    ("exec.retries", "count", "lower"),
-    ("serve.submit_rtt_p50_s", "s", "lower"),
-    ("serve.queue_wait_p50_s", "s", "lower"),
-    ("serve.queue_wait_p95_s", "s", "lower"),
-    ("serve.service_p50_s", "s", "lower"),
-    ("serve.rejected", "count", "lower"),
-    ("serve.executed", "count", "lower"),
-    ("serve.evictions", "count", "lower"),
-    ("serve.gen_late_p95_s", "s", "lower"),
-    ("trace.overhead_frac", "frac", "lower"),
-    ("trace.attributed_frac", "frac", "higher"),
-    ("failed_frac", "frac", "lower"),
-)
-
-
-def _grid(workload: str, seed: int, seconds: float, trace: bool,
-          setup_repeats: int) -> dict:
+def _grid(workload: str, seed: int, seconds: float, trace: bool) -> dict:
     import grid
     from layers import layer_metrics
 
     if not trace:
         fn = grid.grid_cold if workload == "grid-cold" else grid.grid_warm
-        out = fn(seed, seconds, setup_repeats)
+        out = fn(seed, seconds)
         metrics = out["metrics"]
     else:
         fn = grid.grid_cold_traced if workload == "grid-cold" else grid.grid_warm_traced
@@ -124,7 +72,7 @@ def _grid(workload: str, seed: int, seconds: float, trace: bool,
         metrics = layer_metrics(out["profiles"])
         metrics.update(out["extras"])
         # the grids never reach the daemon
-        metrics.update({row[0]: 0.0 for row in PER_LAYER if row[0].startswith("serve.")})
+        metrics.update({name: 0.0 for name in PER_LAYER if name.startswith("serve.")})
         out["tracer"].write_spans(WORK / "spans" / f"{workload}-seed{seed}.jsonl")
     run = out["run"]
     return {
@@ -137,12 +85,12 @@ def _grid(workload: str, seed: int, seconds: float, trace: bool,
     }
 
 
-def _serve(seed: int, seconds: float, trace: bool, setup_repeats: int) -> dict:
+def _serve(seed: int, seconds: float, trace: bool) -> dict:
     import serve
     from layers import layer_metrics
 
     if not trace:
-        out = serve.session(seed, seconds, setup_repeats=setup_repeats)
+        out = serve.session(seed, seconds)
         metrics = serve.e2e_metrics(out)
         outcomes = [out]
     else:
@@ -152,7 +100,6 @@ def _serve(seed: int, seconds: float, trace: bool, setup_repeats: int) -> dict:
         out = serve.session(seed, seconds / 2, spans=profile_path)
         outcomes = [plain, out]
         busy = sum(d for _, d in out["job_spans"].values())
-        plain_busy = sum(d for _, d in plain["job_spans"].values())
         daemon_profile = json.loads(profile_path.read_text())
         daemon_profile["wall"] = busy  # attribute the scheduler's busy time
         daemon_profile["counts"].update({
@@ -166,7 +113,10 @@ def _serve(seed: int, seconds: float, trace: bool, setup_repeats: int) -> dict:
             "cache.evictions": float(out["stats"]["evictions"]),
             "exec.pool_busy_frac": 0.0,  # --jobs 1: cells run inline
             "exec.retries": 0.0,
-            "trace.overhead_frac": busy / plain_busy - 1.0,
+            # the halves replay one plan, one after the other: compare
+            # their service time at the reference speed
+            "trace.overhead_frac": (serve.service_seconds(out) * out["scale"])
+                                   / (serve.service_seconds(plain) * plain["scale"]) - 1.0,
             "failed_frac": sum(serve.failures(o) for o in outcomes) / attempted,
         })
     problems = [f"{job['cell']}: {job['error']}" for o in outcomes
@@ -186,18 +136,16 @@ def _serve(seed: int, seconds: float, trace: bool, setup_repeats: int) -> dict:
 
 
 def _units(trace: bool) -> Dict[str, str]:
-    table = PER_LAYER if trace else END_TO_END
-    return {row[0]: row[1] for row in table}
+    return PER_LAYER if trace else END_TO_END
 
 
-def run(workload: str, seed: int, seconds: float, trace: bool,
-        setup_repeats: int = 5) -> dict:
+def run(workload: str, seed: int, seconds: float, trace: bool) -> dict:
     """Run one workload; returns the record whose summary is printed."""
     load_before = load_average()
     if workload == "serve-zipf":
-        out = _serve(seed, seconds, trace, setup_repeats)
+        out = _serve(seed, seconds, trace)
     else:
-        out = _grid(workload, seed, seconds, trace, setup_repeats)
+        out = _grid(workload, seed, seconds, trace)
     wait_children()  # every pool worker has ended before the run reports
     units = _units(trace)
     missing = set(units) - set(out["metrics"])
@@ -206,7 +154,7 @@ def run(workload: str, seed: int, seconds: float, trace: bool,
     out["metrics"] = {name: out["metrics"][name] for name in units}
     out.update({
         "workload": workload, "seed": seed, "seconds": seconds, "trace": trace,
-        "about": WORKLOADS[workload],
+        "about": dict(LAYERS[workload], why=WHY[workload]),
         "host": {"host_cpus": host_cpus(), "loadavg_before": load_before,
                  "loadavg_after": load_average()},
     })
@@ -215,20 +163,17 @@ def run(workload: str, seed: int, seconds: float, trace: bool,
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
+    parser.add_argument("--workload", required=True, choices=sorted(WHY))
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--setup-repeats", type=int, default=5,
-                        help="set-ups per run; setup_s is their median")
     args = parser.parse_args(argv)
     try:
         use_checkout_source()
     except LayoutError as exc:
         print(f"perfbench: {exc}", file=sys.stderr)
         return 2
-    record = run(args.workload, args.seed, args.seconds, bool(args.trace),
-                 max(1, args.setup_repeats))
+    record = run(args.workload, args.seed, args.seconds, bool(args.trace))
     path = write_record(args.workload, args.seed, bool(args.trace), record)
     units = _units(bool(args.trace))
     for name, value in record["metrics"].items():

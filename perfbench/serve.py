@@ -6,8 +6,9 @@ loopback TCP, a 12-cell LRU cache budget over the 40-cell catalog of
 submit connection and one wait connection. Arrivals are seeded Poisson
 at a fixed mean rate (the gaps are rescaled so every seed offers the
 same number of jobs per second); each job is one catalog cell drawn
-under Zipf(1.2) (the expected multiset per run, in seeded order). It is an open loop: jobs are sent on schedule whether
-or not earlier ones finished, so a stall shows up as latency.
+under Zipf(1.2) (the expected multiset per run, in seeded order). It is
+an open loop: jobs are sent on schedule whether or not earlier ones
+finished, so a stall shows up as latency.
 
 Each job is timed from its scheduled send time to when the wait
 connection sees it done. A job that is refused, fails or times out is
@@ -24,6 +25,7 @@ import queue
 import random
 import select
 import shutil
+import statistics
 import subprocess
 import sys
 import threading
@@ -32,9 +34,10 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from common import (
-    ROOT, WORK, digest, median, now, percentile, process_peak_rss_mb, scratch_dir,
+    ROOT, SETUP_REPEATS, digest, median, now, percentile, process_peak_rss_mb,
+    scratch_dir,
 )
-from speed import SpeedSampler, adjust, pinned, usable_cpus
+from speed import REF_UNIT_S, Calibration, calibrate, pinned, usable_cpus
 
 #: mean offered load, jobs per second: about half the saturation rate of
 #: the daemon on a 2-vCPU host whose cores are shared (~50 jobs/s when
@@ -54,6 +57,11 @@ SIZE = "tiny"
 SPOT_CHECKS = 8
 WAIT_TIMEOUT = 30.0
 START_TIMEOUT = 60.0
+#: the sender calibrates the daemon's CPU while no job is outstanding and
+#: the next one is due no sooner than this many seconds
+IDLE_GAP = 0.04
+#: how often the sender looks for that idle moment while it waits
+POLL = 0.002
 
 
 def zipf_counts(count: int, cells: int) -> List[int]:
@@ -116,7 +124,7 @@ class Daemon:
             command = [sys.executable, str(Path(__file__).with_name("traced_serve.py")),
                        str(spans), *serve_args]
         env = dict(os.environ, PYTHONUNBUFFERED="1")
-        self.started = start = now()
+        start = now()
         self.proc = subprocess.Popen(
             command, cwd=str(ROOT), env=env, stdout=subprocess.PIPE, text=True,
             # the daemon and every thread it starts stay on one CPU
@@ -187,8 +195,14 @@ def _one_shot_payload(cell: tuple) -> dict:
     return result_to_payload(execution.results[0])
 
 
-def drive(daemon: Daemon, plan: List[Tuple[float, tuple]], seed: int) -> dict:
-    """Send every planned job on schedule; collect timings and checks."""
+def drive(daemon: Daemon, plan: List[Tuple[float, tuple]], seed: int,
+          cpu: int) -> dict:
+    """Send every planned job on schedule; collect timings and checks.
+
+    While the daemon (on ``cpu``) has no job and the next is not due for
+    a while, the sender calibrates that CPU: the units see the other
+    tenants' load on it through the timed window, never the daemon's.
+    """
     from repro.serve import ServeClient
 
     submit = ServeClient(daemon.address, client="perfbench")
@@ -200,6 +214,8 @@ def drive(daemon: Daemon, plan: List[Tuple[float, tuple]], seed: int) -> dict:
     ]
     jobs: List[dict] = [{"cell": cell} for _, cell in plan]
     pending: "queue.Queue[Optional[int]]" = queue.Queue()
+    finished: List[int] = []  # appended by the waiter only
+    idle_units: List[float] = []
 
     def wait_all() -> None:
         while True:
@@ -212,8 +228,10 @@ def drive(daemon: Daemon, plan: List[Tuple[float, tuple]], seed: int) -> dict:
                                           "timeout": WAIT_TIMEOUT})
             except OSError as exc:
                 job["error"] = f"wait: {exc}"
+                finished.append(index)
                 continue
             job["seen"] = now()
+            finished.append(index)
             if not reply.get("ok"):
                 job["error"] = str(reply.get("error"))
             elif reply.get("state") != "done":
@@ -223,17 +241,22 @@ def drive(daemon: Daemon, plan: List[Tuple[float, tuple]], seed: int) -> dict:
     waiter.start()
     try:
         origin = now() + 0.05
+        accepted = 0
         for index, (offset, _) in enumerate(plan):
             due = origin + offset
-            delay = due - now()
-            if delay > 0:
-                time.sleep(delay)
+            sampled = False
+            while now() < due:
+                if not sampled and due - now() > IDLE_GAP and len(finished) == accepted:
+                    idle_units.append(calibrate([cpu]))
+                    sampled = True
+                time.sleep(max(0.0, min(due - now(), POLL)))
             job = jobs[index]
             job["due"], job["sent"] = due, now()
             reply = submit.call({"op": "submit", "job": requests[index]})
             job["acked"] = now()
             if reply.get("ok"):
                 job["id"] = reply["job"]
+                accepted += 1
                 pending.put(index)
             else:
                 job["error"] = f"refused: {reply.get('error')}"
@@ -264,58 +287,70 @@ def drive(daemon: Daemon, plan: List[Tuple[float, tuple]], seed: int) -> dict:
     submit.close()
     return {"jobs": jobs, "stats": stats["stats"], "daemon_origin": daemon_origin,
             "peak_rss_mb": rss, "spot_digest": digest(spot_parts),
-            "spot_checked": len(sample)}
+            "spot_checked": len(sample), "idle_units": idle_units}
 
 
-def session(seed: int, seconds: float, spans: Optional[Path] = None,
-            setup_repeats: int = 1) -> dict:
-    """Set the daemon up (median of ``setup_repeats`` starts), drive it, stop it.
+def session(seed: int, seconds: float, spans: Optional[Path] = None) -> dict:
+    """Set the daemon up (median of several starts), drive it, stop it.
 
     The daemon is pinned to the first usable CPU and the client to the
-    last; the speed sampler times units on the daemon's CPU throughout.
+    last. The daemon's CPU is calibrated after each start, and while it
+    is idle between jobs (see :func:`drive`).
     """
     measured = max(MIN_JOBS, round(RATE * seconds))
     plan = job_plan(seed, WARMUP_JOBS, measured)
     cpu = usable_cpus()[0]
-    setups = []
-    with SpeedSampler([cpu], 0.1, WORK / f"speed-{os.getpid()}.txt") as speed:
-        for attempt in range(setup_repeats):
-            last = attempt == setup_repeats - 1
+    speed = Calibration([cpu])
+    workdir = scratch_dir("serve")
+    raw_setups, setups = [], []
+    try:
+        for attempt in range(SETUP_REPEATS):
+            last = attempt == SETUP_REPEATS - 1
+            # a fresh cache and journal for every start
             daemon = Daemon(scratch_dir("serve"), cpu, spans if last else None)
-            setups.append((daemon.started, daemon.setup_s))
+            raw_setups.append(daemon.setup_s)
+            setups.append(daemon.setup_s * speed.scale())
             if not last:
                 daemon.stop()
         try:
             with pinned(usable_cpus()[-1]):
-                outcome = drive(daemon, plan, seed)
+                outcome = drive(daemon, plan, seed, cpu)
         finally:
             daemon.stop()
-    job_spans = daemon.job_spans()
-    shutil.rmtree(daemon.workdir, ignore_errors=True)
-    outcome.update({
-        "job_spans": job_spans, "measured_from": WARMUP_JOBS,
-        "setups": [adjust(s, speed.unit(t, t + s, cpu)) for t, s in setups],
-        "raw_setups": [s for _, s in setups],
-        # the daemon CPU's speed around each job's due time
-        "units": [speed.unit(job["due"] - 0.5, job["due"] + 0.5, cpu)
-                  for job in outcome["jobs"]],
-        "speed_units": speed.units(),
-    })
+        job_spans = daemon.job_spans()
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+    if not outcome["idle_units"]:
+        raise RuntimeError("the daemon was never idle long enough to calibrate")
+    # one factor for the whole window, from the mean of its calibrations
+    # (bursts of steal count by how often they hit); per-job factors from
+    # the few calibrations near each job would add their own noise to the tail
+    outcome.update({"job_spans": job_spans, "measured_from": WARMUP_JOBS,
+                    "setups": setups, "raw_setups": raw_setups,
+                    "scale": REF_UNIT_S / statistics.mean(outcome["idle_units"])})
     return outcome
 
 
+def _measured_done(outcome: dict) -> List[dict]:
+    return [j for j in outcome["jobs"][outcome["measured_from"]:] if "error" not in j]
+
+
+def service_seconds(outcome: dict) -> float:
+    """The daemon's summed job-span seconds over the measured jobs served."""
+    spans = outcome["job_spans"]
+    return sum(spans[j["id"]][1] for j in _measured_done(outcome) if j["id"] in spans)
+
+
 def e2e_metrics(outcome: dict) -> dict:
-    """Latencies are speed-adjusted per job; throughput and the latency
-    limit use raw seconds."""
-    start = outcome["measured_from"]
-    measured = outcome["jobs"][start:]
-    done = [(j, u) for j, u in zip(measured, outcome["units"][start:]) if "error" not in j]
-    raw = [j["seen"] - j["due"] for j, _ in done]
-    latencies = [adjust(lat, u) for lat, (_, u) in zip(raw, done)]
-    window = max(j["seen"] for j, _ in done) - measured[0]["due"]
+    """Latencies and service time at the reference speed; the latency
+    limit applies to raw seconds, as a user would see them."""
+    measured = outcome["jobs"][outcome["measured_from"]:]
+    done = _measured_done(outcome)
+    raw = [j["seen"] - j["due"] for j in done]
+    latencies = [lat * outcome["scale"] for lat in raw]
     return {
         "setup_s": median(outcome["setups"]),
-        "cells_per_s": len(done) / window,
+        "cells_per_s": len(done) / (service_seconds(outcome) * outcome["scale"]),
         "latency_p50_s": percentile(latencies, 50),
         "latency_p95_s": percentile(latencies, 95),
         "goodput_frac": sum(lat <= LATENCY_LIMIT for lat in raw) / len(measured),
@@ -326,12 +361,17 @@ def e2e_metrics(outcome: dict) -> dict:
 def run_samples(outcome: dict) -> dict:
     """Raw seconds and host context kept in the run record."""
     measured = outcome["jobs"][outcome["measured_from"]:]
-    raw = [j["seen"] - j["due"] for j in measured if "error" not in j]
+    done = _measured_done(outcome)
+    raw = [j["seen"] - j["due"] for j in done]
     return {"raw_latency_p50_s": percentile(raw, 50),
             "raw_latency_p95_s": percentile(raw, 95),
+            "raw_service_s": service_seconds(outcome),
+            "served_jobs": len(done),
+            "window_s": max(j["seen"] for j in done) - measured[0]["due"],
             "gen_late_p95_s": percentile([j["sent"] - j["due"] for j in measured], 95),
             "raw_setups_s": outcome["raw_setups"],
-            "speed_units_s": outcome["speed_units"]}
+            "idle_units_s": outcome["idle_units"],
+            "scale": outcome["scale"]}
 
 
 def failures(outcome: dict) -> int:

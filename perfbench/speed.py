@@ -1,25 +1,24 @@
-"""Host speed index: a fixed unit of CPU work, timed in thread CPU seconds.
+"""Host speed index: a fixed unit of CPU work, timed while the program is idle.
 
 The machines this benchmark runs on share physical cores with other
-tenants: the same code runs up to ~1.8x slower on a virtual CPU while
+tenants: the same code runs up to ~2x slower on a virtual CPU while
 its sibling is busy, in phases lasting from a second to minutes, and
 each virtual CPU has its own phases. Raw host seconds from two runs are
 then not comparable. So the benchmark times a fixed unit of work (JSON
 round trips, dict and list work in the interpreter, a NumPy sort) on
-the CPU the measured work runs on, at the time it runs, and reports
-each time-based metric at a reference speed::
+the CPUs the measured work runs on, just before and just after each
+timed stretch of work, and reports that work at a reference speed::
 
-    adjusted = raw * REF_UNIT_S / unit_seconds
+    adjusted = raw * REF_UNIT_S / mean(unit before, unit after)
 
-The unit is benchmark code, not program code, so a change to the
-program moves the adjusted metric exactly as it moves the raw one.
-Units are timed in thread CPU time, so time spent waiting for a CPU is
-not mistaken for a slow one. Raw values stay in the run record.
-
-``python3 perfbench/speed.py CPU[,CPU...] INTERVAL FILE`` runs the
-sampler sidecar: every ``INTERVAL`` seconds it times the unit on each
-listed CPU in turn and appends ``host_seconds cpu unit_seconds`` lines
-to ``FILE`` until terminated.
+The unit is timed only while the measured program is idle (no pass
+running, no pool worker alive, no job in the daemon), so it measures the
+other tenants' load on those CPUs and not the program's own: a change
+that makes the program use less CPU, cache or memory bandwidth leaves
+the unit alone. Units are timed in host (wall) seconds and averaged, so
+the time the hypervisor takes a virtual CPU away (steal) slows the unit
+as it slows the program; with the program idle, nothing of its own can
+hold the CPU. Raw values stay in the run record.
 """
 
 from __future__ import annotations
@@ -27,21 +26,18 @@ from __future__ import annotations
 import json
 import os
 import statistics
-import subprocess
-import sys
 import time
 from contextlib import contextmanager
-from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence
 
 import numpy as np
 
-#: CPU seconds of one unit at the reference speed: about what it took on
-#: the 2-vCPU host the bounds were set on while its cores were contended
-#: (0.65 ms when they were quiet); adjusted seconds are on this scale
-REF_UNIT_S = 0.00125
-#: host seconds to wait for the sampler's first sample
-START_TIMEOUT = 30.0
+#: CPU seconds of one unit at the reference speed: what it took on the
+#: 2-vCPU host the bounds were set on while its cores were quiet (about
+#: 1.25 ms while they were contended); adjusted seconds are on this scale
+REF_UNIT_S = 0.00064
+#: units timed per CPU per calibration; the calibration is their mean
+UNITS_PER_CPU = 9
 
 _RECORDS = [{"id": i, "name": f"cell-{i}", "vals": [i * 0.5, i + 1.0, float(i % 7)]}
             for i in range(60)]
@@ -49,8 +45,8 @@ _ARRAY = np.random.default_rng(7).integers(0, 4096, 4096)
 
 
 def unit_seconds() -> float:
-    """Thread CPU seconds for one unit of fixed work."""
-    start = time.thread_time()
+    """Host seconds for one unit of fixed work."""
+    start = time.perf_counter()
     for _ in range(4):
         back = json.loads(json.dumps(_RECORDS, sort_keys=True))
         acc = 0.0
@@ -58,12 +54,7 @@ def unit_seconds() -> float:
             acc += record["vals"][0] * 3 + len(record["name"])
         back.sort(key=lambda r: -r["vals"][2])
         np.sort(_ARRAY)
-    return time.thread_time() - start
-
-
-def adjust(seconds: float, unit: float) -> float:
-    """Host seconds rescaled to the reference speed."""
-    return seconds * REF_UNIT_S / unit
+    return time.perf_counter() - start
 
 
 def usable_cpus() -> List[int]:
@@ -72,7 +63,7 @@ def usable_cpus() -> List[int]:
 
 @contextmanager
 def pinned(cpu: int) -> Iterator[None]:
-    """Run the block with this process (and threads it starts) on one CPU."""
+    """Run the block with this thread (and processes it starts) on one CPU."""
     saved = os.sched_getaffinity(0)
     os.sched_setaffinity(0, {cpu})
     try:
@@ -81,71 +72,31 @@ def pinned(cpu: int) -> Iterator[None]:
         os.sched_setaffinity(0, saved)
 
 
-class SpeedSampler:
-    """The sampler sidecar on ``cpus`` for the life of a run.
+def calibrate(cpus: Sequence[int]) -> float:
+    """The unit on ``cpus`` now: the mean of a few units on each CPU, then
+    over the CPUs. Call it only while the measured work is idle."""
+    per_cpu = []
+    for cpu in cpus:
+        with pinned(cpu):
+            per_cpu.append(statistics.mean(unit_seconds() for _ in range(UNITS_PER_CPU)))
+    return statistics.mean(per_cpu)
 
-    Time what should be adjusted with :data:`now` readings; after
-    :meth:`stop`, :meth:`unit` gives the mean unit over any interval.
+
+class Calibration:
+    """Idle calibrations on ``cpus`` around consecutive stretches of work.
+
+    One calibration is taken at construction; each :meth:`scale` takes
+    the next, right after a stretch ends, and so brackets that stretch
+    with the calibration before it.
     """
 
-    def __init__(self, cpus: Sequence[int], interval: float, out: Path) -> None:
-        self.out = out
-        self.samples: List[Tuple[float, int, float]] = []
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text("")
-        self.proc = subprocess.Popen(
-            [sys.executable, str(Path(__file__).resolve()),
-             ",".join(str(c) for c in cpus), str(interval), str(out)],
-        )
-        deadline = time.perf_counter() + START_TIMEOUT
-        while not out.read_text() and time.perf_counter() < deadline:
-            time.sleep(0.01)  # first sample in: the run may start
-        if self.proc.poll() is not None:
-            raise RuntimeError("speed sampler exited at start")
+    def __init__(self, cpus: Sequence[int]) -> None:
+        self.cpus = list(cpus)
+        self.units = [calibrate(self.cpus)]
 
-    def __enter__(self) -> "SpeedSampler":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-    def stop(self) -> None:
-        if self.proc.poll() is None:
-            self.proc.terminate()
-        self.proc.wait(timeout=30)
-        if self.samples or not self.out.exists():
-            return
-        for line in self.out.read_text().splitlines():
-            at, cpu, unit = line.split()
-            self.samples.append((float(at), int(cpu), float(unit)))
-        self.out.unlink()
-        if not self.samples:
-            raise RuntimeError("speed sampler took no samples")
-
-    def unit(self, start: float, end: float, cpu: Optional[int] = None) -> float:
-        """Mean unit over samples taken in [start, end] on ``cpu`` (any CPU
-        when None); the nearest sample when none falls inside."""
-        pool = [(at, u) for at, c, u in self.samples if cpu is None or c == cpu]
-        inside = [u for at, u in pool if start <= at <= end]
-        if inside:
-            return statistics.mean(inside)
-        middle = (start + end) / 2
-        return min(pool, key=lambda sample: abs(sample[0] - middle))[1]
-
-    def units(self) -> List[float]:
-        return [u for _, _, u in self.samples]
-
-
-def _sample_forever(cpus: List[int], interval: float, out: str) -> None:
-    with open(out, "w", buffering=1) as fh:
-        while True:
-            for cpu in cpus:
-                os.sched_setaffinity(0, {cpu})
-                unit = min(unit_seconds(), unit_seconds())  # the first may run cache-cold
-                fh.write(f"{time.perf_counter():.6f} {cpu} {unit:.9f}\n")
-            time.sleep(interval)
-
-
-if __name__ == "__main__":
-    _sample_forever([int(c) for c in sys.argv[1].split(",")], float(sys.argv[2]),
-                    sys.argv[3])
+    def scale(self) -> float:
+        """The factor that puts the stretch of work that just ended at the
+        reference speed. The caller makes sure the work has ended: pool
+        workers reaped, the daemon idle."""
+        self.units.append(calibrate(self.cpus))
+        return REF_UNIT_S / statistics.mean(self.units[-2:])

@@ -1,11 +1,14 @@
 """The benchmark's own tests: contract, smoke runs, and trace hygiene.
 
 Run from the root of the checkout with ``python3 -m pytest perfbench/tests``.
-The smoke runs take about a minute in all.
+The smoke runs take about a minute and a half in all.
 """
 
 import json
+import multiprocessing
+import os
 import shutil
+import statistics
 import subprocess
 import sys
 
@@ -15,6 +18,7 @@ import grid
 import run
 from common import ROOT
 from layers import LayerTracer, layer_metrics, profile
+from speed import Calibration, usable_cpus
 
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 
@@ -26,27 +30,18 @@ def _bench(tmp_root, *args):
     )
 
 
-def test_benchmark_json_matches_the_runner():
-    assert [w["name"] for w in BENCHMARK["workloads"]] == list(run.WORKLOADS)
-    assert [tuple(m.values()) for m in BENCHMARK["end_to_end"]] == list(run.END_TO_END)
-    assert [tuple(m.values()) for m in BENCHMARK["per_layer"]] == list(run.PER_LAYER)
-    assert all(len(w["why"]) <= 200 for w in BENCHMARK["workloads"])
-    assert max(m["bound"] for m in BENCHMARK["end_to_end"]) == next(
-        m["bound"] for m in BENCHMARK["end_to_end"] if m["name"] == "setup_s")
-
-
-@pytest.mark.parametrize("workload", list(run.WORKLOADS))
+@pytest.mark.parametrize("workload", list(run.WHY))
 def test_smoke_run(workload):
     out = _bench(ROOT, "--workload", workload, "--seed", "3", "--seconds", "1",
-                 "--trace", "0", "--setup-repeats", "1")
+                 "--trace", "0")
     assert out.returncode == 0, out.stderr[-2000:]
     result = json.loads(out.stdout.strip().splitlines()[-1])
     assert set(result) == {"correct", "attempted", "failed", "metrics"}
     assert result["correct"] and result["failed"] == 0 and result["attempted"] >= 1
-    assert list(result["metrics"]) == [m[0] for m in run.END_TO_END]
-    for name, unit, _, _ in run.END_TO_END:
-        assert result["metrics"][name]["unit"] == unit
-        assert result["metrics"][name]["value"] > 0
+    assert list(result["metrics"]) == [m["name"] for m in BENCHMARK["end_to_end"]]
+    for metric in BENCHMARK["end_to_end"]:
+        assert result["metrics"][metric["name"]]["unit"] == metric["unit"]
+        assert result["metrics"][metric["name"]]["value"] > 0
 
 
 def test_without_the_program_it_fails_without_a_result(tmp_path):
@@ -92,7 +87,7 @@ def test_traced_run_leaves_results_alone_and_unwraps(tmp_path):
     traced, wall = grid.run_pass(specs, 1, tmp_path / "traced", tracer)
 
     assert plain.grid.same_results(traced.grid)
-    assert grid.compare_to(traced, grid.baseline_of(plain)) == []
+    assert grid.compare_to(traced, grid.baseline_of(plain.results)) == []
     # every wrapper is gone: each module and class holds its original again
     assert not tracer.installed and tracer.patched_targets() == []
     after = _namespace_snapshot()
@@ -104,6 +99,30 @@ def test_traced_run_leaves_results_alone_and_unwraps(tmp_path):
         assert metrics[f"{layer}.self_s"] > 0
     assert metrics["engines.supersteps"] == sum(r.iterations for r in traced.results)
     assert 0.5 < metrics["trace.attributed_frac"] <= 1.0
+
+
+_BURN = "import numpy as np\na = np.random.rand(2_000_000)\nfor _ in range(12): a = np.sort(a)[::-1].copy()"
+
+
+def test_speed_unit_does_not_see_the_measured_load(tmp_path):
+    """The unit is calibrated between stretches of work, so work that loads
+    every CPU is adjusted like work that loads none, and a grid pass has
+    reaped its pool workers before the caller calibrates."""
+    speed = Calibration(usable_cpus())
+    idle, loaded = [], []
+    for _ in range(3):
+        subprocess.run([sys.executable, "-c", "import time; time.sleep(0.5)"], check=True)
+        idle.append(speed.scale())
+        burners = [subprocess.Popen([sys.executable, "-c", _BURN],
+                                    preexec_fn=lambda c=cpu: os.sched_setaffinity(0, {c}))
+                   for cpu in usable_cpus()]
+        for burner in burners:
+            assert burner.wait(timeout=60) == 0
+        loaded.append(speed.scale())
+    assert statistics.median(loaded) == pytest.approx(statistics.median(idle), rel=0.2)
+
+    grid.run_pass(_small_specs(), 2, tmp_path / "cache")
+    assert multiprocessing.active_children() == []
 
 
 def test_self_time_subtracts_children():
