@@ -333,8 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lint",
-        help="static analysis of the model contracts "
-             "(RPL001-RPL010; --deep adds RPL011-RPL024)",
+        help="static analysis of the model contracts: every rule, "
+             "RPL001-RPL024, in one pass",
     )
     p.add_argument("paths", nargs="*", default=["src"],
                    help="files or directories to lint (default: src)")
@@ -344,14 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated rule codes or prefixes to run")
     p.add_argument("--ignore",
                    help="comma-separated rule codes or prefixes to skip")
-    p.add_argument("--deep", action="store_true",
-                   help="also run the whole-program pass (RPL011-RPL024)")
     p.add_argument("--baseline", metavar="FILE",
                    help="suppress findings recorded in this baseline file")
     p.add_argument("--update-baseline", action="store_true",
                    help="rewrite --baseline with every current finding")
-    p.add_argument("--ast-cache", metavar="FILE",
-                   help="parsed-AST pickle shared between lint steps")
     p.add_argument("--list-rules", action="store_true",
                    help="print every rule with its rationale and exit")
     p.add_argument("--explain", metavar="CODE",
@@ -949,10 +945,8 @@ def _cmd_lint(args) -> int:
         select=args.select,
         list_rules=args.list_rules,
         ignore=args.ignore,
-        deep=args.deep,
         baseline=args.baseline,
         update_baseline=args.update_baseline,
-        ast_cache=args.ast_cache,
         explain=args.explain,
     )
 

@@ -59,7 +59,7 @@ WORKLOAD_NAMES = ("pagerank", "wcc", "sssp", "khop")
 EXTENSION_WORKLOADS = ("cdlp",)
 
 #: computation model → the Cluster primitives that model may charge.
-#: RPL011 (the deep lint pass) statically verifies that every primitive
+#: RPL011 (repro.lint) statically verifies that every primitive
 #: call site reachable from an engine's ``run`` is covered by the
 #: engine's declared ``model_primitives``, and that the declaration
 #: stays inside this table for the engine's ``trace_model``. Keep the

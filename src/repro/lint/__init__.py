@@ -4,7 +4,8 @@ The paper's conclusions only hold if every engine faithfully executes
 its computation model; in this codebase that faithfulness is a set of
 code contracts (all time flows through ``cluster.advance``, supersteps
 are pure over the ``Graph``, randomness is seeded, only
-:class:`SimulatedFailure` signals run failure, ...). This package
+:class:`SimulatedFailure` signals run failure, engines charge only the
+cluster primitives their model allows, ...). This package
 machine-checks those contracts with an AST-based analyzer built on the
 stdlib ``ast`` module — no third-party dependencies.
 
@@ -14,9 +15,14 @@ Usage::
     python -m repro.lint --format json src # machine-readable report
     repro lint                             # same, via the main CLI
 
-Each rule has a stable code (RPL001..RPL010); a finding on a line is
-suppressed by a trailing ``# noqa: RPLxxx`` comment (bare ``# noqa``
-suppresses every code on that line).
+One run reads and parses each file once, builds one
+:class:`~repro.lint.program.Program` (module table, static MROs, call
+graph) and checks every rule against it: RPL001..RPL010 look at one
+file at a time, RPL011..RPL024 follow calls and state across files.
+Each rule has a stable code; a finding on a line is suppressed by a
+trailing ``# noqa: RPLxxx`` comment (bare ``# noqa`` suppresses every
+code on that line), and ``lint-baseline.json`` can record findings CI
+should tolerate (see :mod:`repro.lint.baseline`).
 """
 
 from __future__ import annotations
@@ -24,33 +30,29 @@ from __future__ import annotations
 import os
 from typing import Iterable, List, Optional, Sequence
 
-from .rules import ALL_RULES, RULES_BY_CODE, Rule, Violation
-from .source import SourceModule
+from .program import Program, build_program
+from .rules import RULES, RULES_BY_CODE, Rule, Violation
+from .source import PARSE_ERROR_CODE, SourceModule, read_source
 
 __all__ = [
-    "ALL_RULES",
+    "RULES",
     "RULES_BY_CODE",
     "Rule",
     "Violation",
+    "Program",
     "SourceModule",
-    "lint_source",
-    "lint_module",
-    "lint_file",
-    "lint_paths",
+    "lint",
     "iter_python_files",
     "select_rules",
     "expand_selectors",
     "PARSE_ERROR_CODE",
 ]
 
-#: pseudo-code reported when a file cannot be parsed at all
-PARSE_ERROR_CODE = "RPL000"
-
 
 def select_rules(select: Optional[Iterable[str]] = None) -> List[Rule]:
     """Resolve a list of rule codes into rule instances (all by default)."""
     if select is None:
-        return list(ALL_RULES)
+        return list(RULES)
     rules = []
     for code in select:
         code = code.strip().upper()
@@ -74,8 +76,8 @@ def expand_selectors(
       code: ``RPL016`` selects RPL016 alone, never anything it happens
       to prefix;
     * **prefix** — anything else matches ruff-style by prefix:
-      ``RPL01`` selects every RPL01x rule (ten codes once the deep pass
-      reaches RPL019), ``RPL`` selects everything.
+      ``RPL01`` selects every RPL01x rule (RPL010 to RPL019), ``RPL``
+      selects everything.
 
     Returns the sorted matching subset of ``codes``; raises KeyError for
     a selector that matches nothing (the CLI turns that into exit 2).
@@ -99,77 +101,6 @@ def expand_selectors(
     return sorted(matched)
 
 
-def lint_source(
-    text: str,
-    path: str = "<string>",
-    rules: Optional[Sequence[Rule]] = None,
-) -> List[Violation]:
-    """Lint one source string; returns sorted, noqa-filtered violations."""
-    if rules is None:
-        rules = ALL_RULES
-    try:
-        module = SourceModule.parse(text, path=path)
-    except SyntaxError as exc:
-        return [
-            Violation(
-                code=PARSE_ERROR_CODE,
-                message=f"could not parse file: {exc.msg}",
-                path=path,
-                line=exc.lineno or 1,
-                col=(exc.offset or 1) - 1,
-            )
-        ]
-    except ValueError as exc:
-        # python 3.9 raises bare ValueError for e.g. null bytes
-        return [
-            Violation(
-                code=PARSE_ERROR_CODE,
-                message=f"could not parse file: {exc}",
-                path=path,
-                line=1,
-                col=0,
-            )
-        ]
-    return lint_module(module, rules)
-
-
-def lint_module(
-    module: SourceModule, rules: Optional[Sequence[Rule]] = None
-) -> List[Violation]:
-    """Run shallow rules over an already-parsed module (noqa-filtered)."""
-    if rules is None:
-        rules = ALL_RULES
-    violations = []
-    for rule in rules:
-        for violation in rule.check(module):
-            if not module.suppressed(violation.code, violation.line):
-                violations.append(violation)
-    violations.sort(key=lambda v: (v.path, v.line, v.col, v.code))
-    return violations
-
-
-def lint_file(path: str, rules: Optional[Sequence[Rule]] = None) -> List[Violation]:
-    """Lint one file on disk.
-
-    A file that is not valid UTF-8 is a diagnostic (RPL000), not a
-    traceback — the CLI must keep walking the rest of the tree.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        return [
-            Violation(
-                code=PARSE_ERROR_CODE,
-                message=f"could not decode file as UTF-8: {exc.reason}",
-                path=path,
-                line=1,
-                col=0,
-            )
-        ]
-    return lint_source(text, path=path, rules=rules)
-
-
 def iter_python_files(paths: Sequence[str]) -> List[str]:
     """Expand files/directories into a sorted list of ``.py`` files."""
     found = []
@@ -188,11 +119,35 @@ def iter_python_files(paths: Sequence[str]) -> List[str]:
     return found
 
 
-def lint_paths(
+def lint(
     paths: Sequence[str], rules: Optional[Sequence[Rule]] = None
 ) -> List[Violation]:
-    """Lint every Python file under ``paths`` (files or directories)."""
-    violations = []
+    """Lint every Python file under ``paths`` (files or directories).
+
+    Each file is read and parsed once — one that cannot be decoded or
+    parsed becomes an RPL000 finding and stays out of the program —
+    the parsed files form one :class:`Program`, and every rule in
+    ``rules`` (all of them by default) checks it. Returns the findings
+    not covered by a ``# noqa`` on their line, deduplicated and sorted.
+    """
+    sources: List[SourceModule] = []
+    violations: List[Violation] = []
     for path in iter_python_files(paths):
-        violations.extend(lint_file(path, rules=rules))
-    return violations
+        parsed = read_source(path)
+        if isinstance(parsed, Violation):
+            violations.append(parsed)
+        else:
+            sources.append(parsed)
+    program = build_program(sources)
+    by_path = {source.path: source for source in sources}
+    for rule in RULES if rules is None else rules:
+        for violation in rule.check(program):
+            source = by_path.get(violation.path)
+            if source is None or not source.suppressed(
+                violation.code, violation.line
+            ):
+                violations.append(violation)
+    return sorted(
+        set(violations),
+        key=lambda v: (v.path, v.line, v.col, v.code, v.message),
+    )

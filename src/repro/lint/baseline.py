@@ -5,9 +5,9 @@ line number deliberately excluded, so unrelated edits that shift a known
 finding up or down a file do not resurrect it. Paths are normalized to
 forward slashes so a baseline recorded on one platform filters on
 another. The committed ``lint-baseline.json`` at the repo root is empty:
-the deep pass runs clean after this PR's fixes, and the file exists so
-CI has a stable contract to check against (and so a future emergency
-has an escape hatch: ``repro lint --deep --update-baseline``).
+the tree lints clean, and the file exists so CI has a stable contract
+to check against (and so a future emergency has an escape hatch:
+``repro lint --baseline lint-baseline.json --update-baseline``).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from typing import List, Sequence
 
-from ..rules.base import Violation
+from .source import Violation
 
 __all__ = ["fingerprint", "load_baseline", "write_baseline", "filter_baselined"]
 

@@ -7,8 +7,8 @@ program functions it may invoke: self/super calls resolve exactly
 through the concrete class's static MRO; name calls resolve through the
 import map; attribute calls try an exact dotted resolution first and
 fall back to *every* same-named method in the program (sound
-over-approximation — the deep rules would rather follow one edge too
-many than miss a primitive call).
+over-approximation — the whole-program rules would rather follow one
+edge too many than miss a primitive call).
 
 A call site is additionally marked as a *cluster primitive site* when it
 invokes one of the :data:`PRIMITIVES` through a receiver chain ending in
@@ -23,10 +23,12 @@ import ast
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from ..source import dotted_parts
 from .program import ClassInfo, FunctionInfo, Program
+from .source import NodeIndex, dotted_parts
 
-__all__ = ["PRIMITIVES", "CallSite", "call_sites", "resolve_targets"]
+__all__ = [
+    "PRIMITIVES", "CallSite", "call_sites", "sites_in", "resolve_targets",
+]
 
 #: the full Cluster cost-model surface (cluster/cluster.py)
 PRIMITIVES = frozenset({
@@ -96,10 +98,17 @@ def _classify(call: ast.Call) -> Optional[CallSite]:
 
 def call_sites(fn: FunctionInfo) -> List[CallSite]:
     """Every call expression in ``fn``'s body (nested defs included)."""
+    if fn.sites is None:
+        fn.sites = sites_in(fn.index, fn.node)
+    return fn.sites
+
+
+def sites_in(index: NodeIndex, node: ast.AST) -> List[CallSite]:
+    """Every call expression in the subtree at ``node``, in walk order."""
     sites = []
-    for node in ast.walk(fn.node):
-        if isinstance(node, ast.Call):
-            site = _classify(node)
+    for sub in index.walk(node):
+        if isinstance(sub, ast.Call):
+            site = _classify(sub)
             if site is not None:
                 sites.append(site)
     return sites

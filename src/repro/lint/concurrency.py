@@ -41,10 +41,10 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
-from ..source import dotted_parts
-from .callgraph import _classify
+from .callgraph import _classify, resolve_targets
 from .hotpath import pool_dispatch
 from .program import ClassInfo, FunctionInfo, ModuleInfo, Program
+from .source import dotted_parts
 
 __all__ = [
     "CONCURRENT_PACKAGES",
@@ -130,7 +130,7 @@ def _binds_locally(fn: FunctionInfo, name: str) -> bool:
     ):
         if arg.arg == name:
             return True
-    for sub in ast.walk(node):
+    for sub in fn.index.walk(node):
         if isinstance(sub, ast.Global) and name in sub.names:
             return False
         if isinstance(sub, ast.Assign):
@@ -138,7 +138,7 @@ def _binds_locally(fn: FunctionInfo, name: str) -> bool:
                 if isinstance(target, ast.Name) and target.id == name:
                     return True
         if isinstance(sub, (ast.For, ast.AsyncFor)):
-            for t in ast.walk(sub.target):
+            for t in fn.index.walk(sub.target):
                 if isinstance(t, ast.Name) and t.id == name:
                     return True
     return False
@@ -286,7 +286,7 @@ class _TypeEnv:
         for mname in sorted(cls.methods):
             method = cls.methods[mname]
             init = mname in _INIT_METHODS
-            for node in ast.walk(method.node):
+            for node in method.index.walk(method.node):
                 target: Optional[ast.expr] = None
                 value: Optional[ast.expr] = None
                 annotation: Optional[ast.expr] = None
@@ -364,8 +364,11 @@ class _TypeEnv:
         if node is None:
             return None
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            # a quoted annotation is an expression snippet, not a file
             try:
-                node = ast.parse(node.value, mode="eval").body
+                node = ast.parse(
+                    node.value, filename="<annotation>", mode="eval"
+                ).body
             except SyntaxError:
                 return None
         if isinstance(node, (ast.Name, ast.Attribute)):
@@ -458,11 +461,7 @@ class ConcurrencyAnalysis:
     @classmethod
     def of(cls, program: Program) -> "ConcurrencyAnalysis":
         """The memoized analysis for ``program`` (one build, four rules)."""
-        cached = getattr(program, "_concurrency_analysis", None)
-        if cached is None:
-            cached = cls(program)
-            program._concurrency_analysis = cached  # type: ignore[attr-defined]
-        return cached
+        return program.memo(cls, lambda: cls(program))
 
     # -- thread-root discovery --
 
@@ -523,7 +522,7 @@ class ConcurrencyAnalysis:
         spawners: Set[str] = set()  # class qualnames that start threads
         targets: Set[str] = set()  # fn qualnames that run on spawned threads
         for fn in self._scope_functions():
-            for node in ast.walk(fn.node):
+            for node in fn.index.walk(fn.node):
                 if not isinstance(node, ast.Call):
                     continue
                 hit = self._thread_target(node, fn)
@@ -797,7 +796,7 @@ class _Walker:
                 if ref is not None:
                     env[arg.arg] = ref
         assigns: List[ast.stmt] = [
-            sub for sub in ast.walk(node)
+            sub for sub in self.fn.index.walk(node)
             if isinstance(sub, (ast.Assign, ast.AnnAssign, ast.For,
                                 ast.AsyncFor))
         ]
@@ -829,7 +828,7 @@ class _Walker:
     def _alias_map(self) -> Dict[str, Tuple[str, str]]:
         """Locals bound directly to a shared field (``payloads = job.payloads``)."""
         aliases: Dict[str, Tuple[str, str]] = {}
-        for sub in ast.walk(self.fn.node):
+        for sub in self.fn.index.walk(self.fn.node):
             if not isinstance(sub, (ast.Assign, ast.AnnAssign)):
                 continue
             target = (
@@ -1003,7 +1002,7 @@ class _Walker:
         elif isinstance(stmt, ast.Delete):
             for target in stmt.targets:
                 mark(target)
-        for sub in ast.walk(stmt):
+        for sub in self.fn.index.walk(stmt):
             if (
                 isinstance(sub, ast.Call)
                 and isinstance(sub.func, ast.Attribute)
@@ -1014,7 +1013,7 @@ class _Walker:
 
     def _scan(self, node: ast.AST, must: Set[str], may: Set[str]) -> None:
         marks = self._write_marks(node)
-        for sub in ast.walk(node):
+        for sub in self.fn.index.walk(node):
             if isinstance(sub, ast.Call):
                 self._call(sub, must, may)
             elif isinstance(sub, ast.Attribute):
@@ -1123,18 +1122,8 @@ class _Walker:
         if site is None:
             return []
         program, fn, binding = self.program, self.fn, self.binding
-        if site.kind == "self":
-            cls = binding or fn.owner
-            if cls is None:
-                return []
-            target = program.resolve_method(cls, site.name)
-            return [(target, cls)] if target else []
-        if site.kind == "super":
-            cls = binding or fn.owner
-            if cls is None:
-                return []
-            target = program.resolve_super_method(cls, fn.owner, site.name)
-            return [(target, cls)] if target else []
+        if site.kind in ("self", "super"):
+            return resolve_targets(program, site, fn, binding)
         if site.kind == "name":
             module = fn.module
             resolved = module.source.imports.resolve(site.name) or site.name

@@ -1,4 +1,4 @@
-"""Shared loop/pool shape helpers for the performance deep rules.
+"""Shared loop/pool shape helpers for the performance rules.
 
 RPL015–RPL019 all reason about the same two lexical shapes: "is this
 expression inside a ``for``/``while`` loop of its function?" and "is
@@ -11,9 +11,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Optional, Tuple
 
-from ..source import dotted_parts
 from .callgraph import CallSite, _classify
 from .program import FunctionInfo
+from .source import dotted_parts
 
 __all__ = [
     "loop_bodies",
@@ -45,15 +45,14 @@ def loop_bodies(fn: FunctionInfo) -> Iterator[Tuple[ast.AST, List[ast.stmt]]]:
             continue
         if isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
             yield node, node.body
-        for child in ast.iter_child_nodes(node):
-            stack.append(child)
+        stack.extend(fn.index.children(node))
 
 
 def nodes_in_loops(fn: FunctionInfo) -> Iterator[Tuple[ast.AST, ast.AST]]:
     """(loop, node) pairs for every AST node inside a loop body of ``fn``."""
     for loop, body in loop_bodies(fn):
         for stmt in body:
-            for node in ast.walk(stmt):
+            for node in fn.index.walk(stmt):
                 yield loop, node
 
 

@@ -1,6 +1,8 @@
 """Whole-program model: module table, class table, static MRO.
 
-The deep rules reason *across* files, so they need what a single
+Every lint run builds one :class:`Program` from the files it parsed.
+File-local rules loop over its ``sources``; the rules that reason
+*across* files need what a single
 :class:`~repro.lint.source.SourceModule` cannot give them: which dotted
 module a path is (``src/repro/engines/bsp.py`` → ``repro.engines.bsp``),
 which class a base-class expression refers to after import aliasing and
@@ -16,11 +18,14 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple,
+)
 
-from ..source import SourceModule, dotted_parts
+from .source import NodeIndex, SourceModule, dotted_parts
 
 __all__ = [
+    "collect_assigns",
     "module_name_for",
     "ModuleInfo",
     "ClassInfo",
@@ -59,6 +64,12 @@ class FunctionInfo:
     node: ast.AST  # FunctionDef | AsyncFunctionDef
     owner: Optional["ClassInfo"]
     is_abstract: bool
+    #: the body's call sites, filled by ``callgraph.call_sites`` on first use
+    sites: Optional[list] = field(default=None, repr=False)
+
+    @property
+    def index(self) -> NodeIndex:
+        return self.module.source.index
 
     def __repr__(self) -> str:  # keep debugging output short
         return f"FunctionInfo({self.qualname})"
@@ -95,6 +106,10 @@ class ModuleInfo:
     assigns: Dict[str, ast.expr] = field(default_factory=dict)
 
     @property
+    def index(self) -> NodeIndex:
+        return self.source.index
+
+    @property
     def name_parts(self) -> Tuple[str, ...]:
         return tuple(self.name.split("."))
 
@@ -119,7 +134,7 @@ def _is_abstract(node: ast.AST) -> bool:
     return False
 
 
-def _collect_assigns(body: List[ast.stmt]) -> Dict[str, ast.expr]:
+def collect_assigns(body: List[ast.stmt]) -> Dict[str, ast.expr]:
     assigns: Dict[str, ast.expr] = {}
     for stmt in body:
         if isinstance(stmt, ast.Assign):
@@ -136,11 +151,14 @@ class Program:
     """The analyzed tree: every module, class, and function, cross-linked."""
 
     def __init__(self) -> None:
+        #: every parsed file, in lint order (what file-local rules check)
+        self.sources: List[SourceModule] = []
         self.modules: Dict[str, ModuleInfo] = {}  # by dotted name
         self.classes: Dict[str, ClassInfo] = {}  # by qualname
         self.functions: Dict[str, FunctionInfo] = {}  # by qualname
         self.methods_by_name: Dict[str, List[FunctionInfo]] = {}
         self._mro_cache: Dict[str, List[ClassInfo]] = {}
+        self._memo: Dict[Hashable, Any] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -150,7 +168,7 @@ class Program:
         info = ModuleInfo(
             name=name, path=source.path, source=source, is_package=is_package
         )
-        info.assigns = _collect_assigns(source.tree.body)
+        info.assigns = collect_assigns(source.tree.body)
         for stmt in source.tree.body:
             if isinstance(stmt, ast.ClassDef):
                 self._add_class(info, stmt)
@@ -183,7 +201,7 @@ class Program:
             node=node,
             base_refs=refs,
         )
-        cls.assigns = _collect_assigns(node.body)
+        cls.assigns = collect_assigns(node.body)
         for stmt in node.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 fn = FunctionInfo(
@@ -204,6 +222,16 @@ class Program:
         """Sort the by-name index so traversals are deterministic."""
         for fns in self.methods_by_name.values():
             fns.sort(key=lambda f: f.qualname)
+
+    def memo(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """``build()``'s result, computed once per program and ``key``.
+
+        Analyses several rules share (engine cones, the concurrency
+        model) are built by whichever rule asks first.
+        """
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     # -- resolution ---------------------------------------------------------
 
@@ -296,15 +324,13 @@ class Program:
                 return c, c.assigns[name]
         return None
 
-    def source_for(self, fn: FunctionInfo) -> SourceModule:
-        return fn.module.source
 
-
-def build_program(sources: Mapping[str, SourceModule]) -> Program:
-    """Assemble a Program from parsed modules keyed by path."""
+def build_program(sources: Iterable[SourceModule]) -> Program:
+    """Assemble a Program from parsed files."""
     program = Program()
-    ordered = sorted(sources.values(), key=lambda s: module_name_for(s.path))
-    for source in ordered:
+    program.sources = list(sources)
+    by_name = sorted(program.sources, key=lambda s: module_name_for(s.path))
+    for source in by_name:
         program.add_module(source)
     program.finalize()
     return program

@@ -77,8 +77,12 @@ def engine_cone(
     skip_chaos: bool = True,
 ) -> List[Node]:
     """Everything reachable from ``engine.run(...)`` for this engine."""
-    run = program.resolve_method(engine, "run")
-    if run is None:
-        return []
-    skip = chaos_boundary if skip_chaos else None
-    return reachable(program, [(run, engine)], skip=skip)
+
+    def build() -> List[Node]:
+        run = program.resolve_method(engine, "run")
+        if run is None:
+            return []
+        skip = chaos_boundary if skip_chaos else None
+        return reachable(program, [(run, engine)], skip=skip)
+
+    return program.memo(("engine_cone", engine.qualname, skip_chaos), build)

@@ -18,7 +18,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..source import SourceModule, dotted_name
+from ..program import Program
+from ..source import dotted_name
 from .base import Rule, Violation
 
 __all__ = ["WallClockRule"]
@@ -62,17 +63,18 @@ class WallClockRule(Rule):
         "host wall-clock calls make runs irreproducible"
     )
 
-    def check(self, module: SourceModule) -> Iterator[Violation]:
-        if _is_allowlisted(module.path):
-            return
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
+    def check(self, program: Program) -> Iterator[Violation]:
+        for module in program.sources:
+            if _is_allowlisted(module.path):
                 continue
-            resolved = module.imports.resolve(dotted_name(node.func))
-            if resolved in _BANNED:
-                yield self.violation(
-                    module,
-                    node,
-                    f"wall-clock call {resolved}() — use cluster.advance/"
-                    f"cluster.now; simulated time only",
-                )
+            for node in module.index.walk(module.tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                resolved = module.imports.resolve(dotted_name(node.func))
+                if resolved in _BANNED:
+                    yield self.violation(
+                        module.path,
+                        node,
+                        f"wall-clock call {resolved}() — use cluster.advance/"
+                        f"cluster.now; simulated time only",
+                    )

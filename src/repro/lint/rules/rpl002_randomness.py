@@ -14,7 +14,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional
 
-from ..source import SourceModule, dotted_name
+from ..program import Program
+from ..source import dotted_name
 from .base import Rule, Violation
 
 __all__ = ["RandomnessRule"]
@@ -57,16 +58,17 @@ class RandomnessRule(Rule):
         "numpy.random.default_rng(seed), never global RNG state"
     )
 
-    def check(self, module: SourceModule) -> Iterator[Violation]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            resolved = module.imports.resolve(dotted_name(node.func))
-            if not resolved:
-                continue
-            finding = self._classify(resolved, node)
-            if finding:
-                yield self.violation(module, node, finding)
+    def check(self, program: Program) -> Iterator[Violation]:
+        for module in program.sources:
+            for node in module.index.walk(module.tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                resolved = module.imports.resolve(dotted_name(node.func))
+                if not resolved:
+                    continue
+                finding = self._classify(resolved, node)
+                if finding:
+                    yield self.violation(module.path, node, finding)
 
     def _classify(self, resolved: str, call: ast.Call) -> Optional[str]:
         if resolved.startswith("random."):

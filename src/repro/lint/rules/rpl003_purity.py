@@ -13,6 +13,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Set
 
+from ..program import Program
 from ..source import SourceModule, target_chain
 from .base import Rule, Violation, iter_methods
 
@@ -49,13 +50,14 @@ class SuperstepPurityRule(Rule):
         "identical answers; state belongs in WorkloadState"
     )
 
-    def check(self, module: SourceModule) -> Iterator[Violation]:
-        module_names = _module_level_names(module.tree)
-        for cls in ast.walk(module.tree):
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            for method in iter_methods(cls, _PURE_METHODS):
-                yield from self._check_method(module, method, module_names)
+    def check(self, program: Program) -> Iterator[Violation]:
+        for module in program.sources:
+            module_names = _module_level_names(module.tree)
+            for cls in module.index.walk(module.tree):
+                if not isinstance(cls, ast.ClassDef):
+                    continue
+                for method in iter_methods(cls, _PURE_METHODS):
+                    yield from self._check_method(module, method, module_names)
 
     def _check_method(
         self,
@@ -75,11 +77,11 @@ class SuperstepPurityRule(Rule):
                 return True
             return has_dataset and chain[:2] == ["dataset", "graph"]
 
-        for node in ast.walk(method):
+        for node in module.index.walk(method):
             if isinstance(node, (ast.Global, ast.Nonlocal)):
                 kind = "global" if isinstance(node, ast.Global) else "nonlocal"
                 yield self.violation(
-                    module,
+                    module.path,
                     node,
                     f"{kind} statement in {method.name}() — superstep state "
                     f"belongs in WorkloadState, not module globals",
@@ -99,7 +101,7 @@ class SuperstepPurityRule(Rule):
                     chain = target_chain(node.func.value)
                     if chain and chain_is_graph(chain):
                         yield self.violation(
-                            module,
+                            module.path,
                             node,
                             f"{method.name}() mutates its graph argument via "
                             f".{node.func.attr}() — the Graph is shared and "
@@ -107,7 +109,7 @@ class SuperstepPurityRule(Rule):
                         )
                     elif chain and chain[0] in module_names:
                         yield self.violation(
-                            module,
+                            module.path,
                             node,
                             f"{method.name}() mutates module-level "
                             f"{chain[0]!r} via .{node.func.attr}() — "
@@ -122,7 +124,7 @@ class SuperstepPurityRule(Rule):
                     continue
                 if chain_is_graph(chain):
                     yield self.violation(
-                        module,
+                        module.path,
                         target,
                         f"{method.name}() writes to "
                         f"{'.'.join(chain)} — the Graph is shared and "
@@ -130,7 +132,7 @@ class SuperstepPurityRule(Rule):
                     )
                 elif chain[0] in module_names:
                     yield self.violation(
-                        module,
+                        module.path,
                         target,
                         f"{method.name}() writes through module-level "
                         f"{chain[0]!r} — supersteps must not write global "

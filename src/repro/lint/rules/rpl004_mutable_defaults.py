@@ -13,7 +13,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional
 
-from ..source import SourceModule, dotted_parts
+from ..program import Program
+from ..source import dotted_parts
 from .base import Rule, Violation, model_classes
 
 __all__ = ["MutableClassDefaultRule"]
@@ -64,31 +65,32 @@ class MutableClassDefaultRule(Rule):
         "MappingProxyType/tuple or set the attribute per instance"
     )
 
-    def check(self, module: SourceModule) -> Iterator[Violation]:
-        models = model_classes(module.tree)
-        for cls in ast.walk(module.tree):
-            if not isinstance(cls, ast.ClassDef) or cls.name not in models:
-                continue
-            if _is_dataclass(cls):
-                continue
-            for stmt in cls.body:
-                if isinstance(stmt, ast.Assign):
-                    value, targets = stmt.value, stmt.targets
-                elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                    value, targets = stmt.value, [stmt.target]
-                else:
+    def check(self, program: Program) -> Iterator[Violation]:
+        for module in program.sources:
+            models = model_classes(module)
+            for cls in module.index.walk(module.tree):
+                if not isinstance(cls, ast.ClassDef) or cls.name not in models:
                     continue
-                described = _mutable_description(value)
-                if not described:
+                if _is_dataclass(cls):
                     continue
-                names = ", ".join(
-                    t.id for t in targets if isinstance(t, ast.Name)
-                ) or "<attribute>"
-                yield self.violation(
-                    module,
-                    stmt,
-                    f"mutable class attribute {names!r} ({described}) on "
-                    f"{models[cls.name]} subclass {cls.name} is shared by "
-                    f"every instance — use types.MappingProxyType / a tuple, "
-                    f"or assign per instance in __init__",
-                )
+                for stmt in cls.body:
+                    if isinstance(stmt, ast.Assign):
+                        value, targets = stmt.value, stmt.targets
+                    elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+                        value, targets = stmt.value, [stmt.target]
+                    else:
+                        continue
+                    described = _mutable_description(value)
+                    if not described:
+                        continue
+                    names = ", ".join(
+                        t.id for t in targets if isinstance(t, ast.Name)
+                    ) or "<attribute>"
+                    yield self.violation(
+                        module.path,
+                        stmt,
+                        f"mutable class attribute {names!r} ({described}) on "
+                        f"{models[cls.name]} subclass {cls.name} is shared by "
+                        f"every instance — use types.MappingProxyType / a tuple, "
+                        f"or assign per instance in __init__",
+                    )

@@ -13,8 +13,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional
 
+from ..program import Program
 from ..source import SourceModule, dotted_parts
-from .base import Rule, Violation
+from .base import Rule, Violation, reraises
 
 __all__ = ["ExceptionDisciplineRule"]
 
@@ -38,10 +39,6 @@ def _is_broad(type_node: Optional[ast.AST]) -> bool:
     return False
 
 
-def _reraises(handler: ast.ExceptHandler) -> bool:
-    return any(isinstance(n, ast.Raise) for n in ast.walk(handler))
-
-
 class ExceptionDisciplineRule(Rule):
     """Ban bare excepts; ban swallowing broad excepts in phase methods."""
 
@@ -52,20 +49,21 @@ class ExceptionDisciplineRule(Rule):
         "excepts turn failure cells into silently wrong numbers"
     )
 
-    def check(self, module: SourceModule) -> Iterator[Violation]:
-        yield from self._walk(module, module.tree, enclosing=None)
+    def check(self, program: Program) -> Iterator[Violation]:
+        for module in program.sources:
+            yield from self._walk(module, module.tree, enclosing=None)
 
     def _walk(
         self, module: SourceModule, node: ast.AST, enclosing: Optional[str]
     ) -> Iterator[Violation]:
-        for child in ast.iter_child_nodes(node):
+        for child in module.index.children(node):
             scope = enclosing
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 scope = child.name
             if isinstance(child, ast.ExceptHandler):
                 if child.type is None:
                     yield self.violation(
-                        module,
+                        module.path,
                         child,
                         "bare 'except:' catches SimulatedFailure and "
                         "KeyboardInterrupt alike — name the exception types",
@@ -73,10 +71,10 @@ class ExceptionDisciplineRule(Rule):
                 elif (
                     enclosing in _PHASE_METHODS
                     and _is_broad(child.type)
-                    and not _reraises(child)
+                    and not reraises(module.index, child)
                 ):
                     yield self.violation(
-                        module,
+                        module.path,
                         child,
                         f"broad except in phase method {enclosing}() swallows "
                         f"without re-raising — only SimulatedFailure may "

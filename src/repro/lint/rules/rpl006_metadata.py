@@ -14,7 +14,8 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, Set
 
-from ..source import SourceModule
+from ..program import Program
+from ..source import NodeIndex
 from .base import Rule, Violation, base_names, iter_methods
 
 __all__ = ["EngineMetadataRule"]
@@ -25,7 +26,7 @@ _REQUIRED = ("key", "display_name", "language")
 _ABSTRACT_MARKERS = ("Mixin", "Base", "Abstract")
 
 
-def _declared_attrs(cls: ast.ClassDef) -> Set[str]:
+def _declared_attrs(index: NodeIndex, cls: ast.ClassDef) -> Set[str]:
     """Attributes the class body sets: class-level or ``self.X`` anywhere."""
     attrs: Set[str] = set()
     for stmt in cls.body:
@@ -37,7 +38,7 @@ def _declared_attrs(cls: ast.ClassDef) -> Set[str]:
             if isinstance(stmt.target, ast.Name):
                 attrs.add(stmt.target.id)
     for method in iter_methods(cls):
-        for node in ast.walk(method):
+        for node in index.walk(method):
             if isinstance(node, ast.Assign):
                 for target in node.targets:
                     if (
@@ -70,27 +71,28 @@ class EngineMetadataRule(Rule):
         "a missing attribute renders blank columns"
     )
 
-    def check(self, module: SourceModule) -> Iterator[Violation]:
-        classes: Dict[str, ast.ClassDef] = {
-            node.name: node
-            for node in ast.walk(module.tree)
-            if isinstance(node, ast.ClassDef)
-        }
-        for cls in classes.values():
-            if not self._is_concrete_engine(cls):
-                continue
-            effective, unresolved_engine_base = self._effective_attrs(
-                cls, classes
-            )
-            missing = [a for a in _REQUIRED if a not in effective]
-            if missing and not unresolved_engine_base:
-                yield self.violation(
-                    module,
-                    cls,
-                    f"concrete engine {cls.name} does not define "
-                    f"{', '.join(missing)} — Table 1 and the grids require "
-                    f"all of {', '.join(_REQUIRED)}",
+    def check(self, program: Program) -> Iterator[Violation]:
+        for module in program.sources:
+            classes: Dict[str, ast.ClassDef] = {
+                node.name: node
+                for node in module.index.walk(module.tree)
+                if isinstance(node, ast.ClassDef)
+            }
+            for cls in classes.values():
+                if not self._is_concrete_engine(cls):
+                    continue
+                effective, unresolved_engine_base = self._effective_attrs(
+                    module.index, cls, classes
                 )
+                missing = [a for a in _REQUIRED if a not in effective]
+                if missing and not unresolved_engine_base:
+                    yield self.violation(
+                        module.path,
+                        cls,
+                        f"concrete engine {cls.name} does not define "
+                        f"{', '.join(missing)} — Table 1 and the grids require "
+                        f"all of {', '.join(_REQUIRED)}",
+                    )
 
     def _is_concrete_engine(self, cls: ast.ClassDef) -> bool:
         if cls.name == "Engine" or cls.name.startswith("_"):
@@ -103,7 +105,10 @@ class EngineMetadataRule(Rule):
         return engine_ish and not _has_abstract_methods(cls)
 
     def _effective_attrs(
-        self, cls: ast.ClassDef, classes: Dict[str, ast.ClassDef]
+        self,
+        index: NodeIndex,
+        cls: ast.ClassDef,
+        classes: Dict[str, ast.ClassDef],
     ):
         """(attrs including in-module bases, saw-unresolvable-engine-base)."""
         attrs: Set[str] = set()
@@ -122,6 +127,6 @@ class EngineMetadataRule(Rule):
                 if name != "Engine" and name.endswith("Engine"):
                     unresolved = True
                 continue
-            attrs |= _declared_attrs(node)
+            attrs |= _declared_attrs(index, node)
             stack.extend(base_names(node))
         return attrs, unresolved

@@ -15,7 +15,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List
 
-from ..source import SourceModule, target_chain
+from ..program import Program
+from ..source import target_chain
 from .base import Rule, Violation
 
 __all__ = ["CostAccountingRule"]
@@ -34,34 +35,35 @@ class CostAccountingRule(Rule):
         "the timeout budget and figure series stay correct"
     )
 
-    def check(self, module: SourceModule) -> Iterator[Violation]:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Assign):
-                targets: List[ast.AST] = list(node.targets)
-            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                targets = [node.target]
-            else:
-                continue
-            for target in targets:
-                if not isinstance(target, (ast.Attribute, ast.Subscript)):
+    def check(self, program: Program) -> Iterator[Violation]:
+        for module in program.sources:
+            for node in module.index.walk(module.tree):
+                if isinstance(node, ast.Assign):
+                    targets: List[ast.AST] = list(node.targets)
+                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                    targets = [node.target]
+                else:
                     continue
-                chain = target_chain(target)
-                if not chain or len(chain) < 2:
-                    continue
-                dotted = ".".join(chain)
-                if chain[-1] == "now":
-                    yield self.violation(
-                        module,
-                        target,
-                        f"direct write to {dotted} bypasses advance() and "
-                        f"the 24-hour budget — charge time through the "
-                        f"cluster APIs",
-                    )
-                elif _GUARDED_OWNERS & set(chain[:-1]):
-                    yield self.violation(
-                        module,
-                        target,
-                        f"direct write to {dotted} bypasses the accounting "
-                        f"APIs — use advance()/record_*() so the tracker "
-                        f"series stay consistent",
-                    )
+                for target in targets:
+                    if not isinstance(target, (ast.Attribute, ast.Subscript)):
+                        continue
+                    chain = target_chain(target)
+                    if not chain or len(chain) < 2:
+                        continue
+                    dotted = ".".join(chain)
+                    if chain[-1] == "now":
+                        yield self.violation(
+                            module.path,
+                            target,
+                            f"direct write to {dotted} bypasses advance() and "
+                            f"the 24-hour budget — charge time through the "
+                            f"cluster APIs",
+                        )
+                    elif _GUARDED_OWNERS & set(chain[:-1]):
+                        yield self.violation(
+                            module.path,
+                            target,
+                            f"direct write to {dotted} bypasses the accounting "
+                            f"APIs — use advance()/record_*() so the tracker "
+                            f"series stay consistent",
+                        )

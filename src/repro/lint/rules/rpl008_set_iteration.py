@@ -10,9 +10,10 @@ set (``sorted(s)``) or keep the collection in a list/array instead.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from typing import Iterator, List, Optional
 
-from ..source import SourceModule, dotted_parts
+from ..program import Program
+from ..source import NodeIndex, dotted_parts
 from .base import Rule, Violation
 
 __all__ = ["SetIterationRule"]
@@ -40,9 +41,9 @@ def _set_expression(node: ast.AST) -> Optional[str]:
     return None
 
 
-def _order_sensitive(body: Iterator[ast.stmt]) -> Optional[str]:
+def _order_sensitive(index: NodeIndex, body: List[ast.stmt]) -> Optional[str]:
     for stmt in body:
-        for node in ast.walk(stmt):
+        for node in index.walk(stmt):
             if isinstance(node, ast.AugAssign):
                 return "accumulates with an augmented assignment"
             if isinstance(node, ast.Call) and isinstance(
@@ -63,19 +64,20 @@ class SetIterationRule(Rule):
         "emission over a set vary run to run — iterate sorted(...)"
     )
 
-    def check(self, module: SourceModule) -> Iterator[Violation]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, (ast.For, ast.AsyncFor)):
-                continue
-            described = _set_expression(node.iter)
-            if not described:
-                continue
-            reason = _order_sensitive(iter(node.body))
-            if reason:
-                yield self.violation(
-                    module,
-                    node,
-                    f"loop over {described} {reason} — set order is "
-                    f"nondeterministic; iterate sorted(...) or use a "
-                    f"list/array",
-                )
+    def check(self, program: Program) -> Iterator[Violation]:
+        for module in program.sources:
+            for node in module.index.walk(module.tree):
+                if not isinstance(node, (ast.For, ast.AsyncFor)):
+                    continue
+                described = _set_expression(node.iter)
+                if not described:
+                    continue
+                reason = _order_sensitive(module.index, node.body)
+                if reason:
+                    yield self.violation(
+                        module.path,
+                        node,
+                        f"loop over {described} {reason} — set order is "
+                        f"nondeterministic; iterate sorted(...) or use a "
+                        f"list/array",
+                    )

@@ -20,6 +20,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional
 
+from ..program import Program
 from ..source import SourceModule
 from .base import Rule, Violation
 
@@ -61,24 +62,25 @@ class ConcurrencyRule(Rule):
         "inside the simulation"
     )
 
-    def check(self, module: SourceModule) -> Iterator[Violation]:
-        if _is_allowlisted(module.path):
-            return
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    root = _banned_root(alias.name)
-                    if root:
-                        yield self._flag(module, node, alias.name)
-            elif isinstance(node, ast.ImportFrom):
-                # absolute imports only: a relative ``from .concurrent``
-                # is a local module, not the stdlib family
-                if node.level == 0 and _banned_root(node.module):
-                    yield self._flag(module, node, node.module or "")
+    def check(self, program: Program) -> Iterator[Violation]:
+        for module in program.sources:
+            if _is_allowlisted(module.path):
+                continue
+            for node in module.index.walk(module.tree):
+                if isinstance(node, ast.Import):
+                    for alias in node.names:
+                        root = _banned_root(alias.name)
+                        if root:
+                            yield self._flag(module, node, alias.name)
+                elif isinstance(node, ast.ImportFrom):
+                    # absolute imports only: a relative ``from .concurrent``
+                    # is a local module, not the stdlib family
+                    if node.level == 0 and _banned_root(node.module):
+                        yield self._flag(module, node, node.module or "")
 
     def _flag(self, module: SourceModule, node: ast.AST, name: str) -> Violation:
         return self.violation(
-            module,
+            module.path,
             node,
             f"concurrency import {name!r} outside repro/exec and "
             f"repro/serve — cells parallelize through the executor, "

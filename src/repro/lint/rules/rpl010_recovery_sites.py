@@ -22,8 +22,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional
 
-from ..source import SourceModule, dotted_parts
-from .base import Rule, Violation
+from ..program import Program
+from ..source import dotted_parts
+from .base import Rule, Violation, reraises
 
 __all__ = ["RecoverySiteRule"]
 
@@ -68,10 +69,6 @@ def _named_types(type_node: Optional[ast.AST]) -> Iterator[str]:
             yield parts[-1]
 
 
-def _reraises(handler: ast.ExceptHandler) -> bool:
-    return any(isinstance(n, ast.Raise) for n in ast.walk(handler))
-
-
 class RecoverySiteRule(Rule):
     """Failure types are caught only at the sanctioned recovery sites."""
 
@@ -83,28 +80,33 @@ class RecoverySiteRule(Rule):
         "times for runs that silently ate a fault"
     )
 
-    def check(self, module: SourceModule) -> Iterator[Violation]:
-        if _is_allowlisted(module.path):
-            return
-        guarded = _is_guarded(module.path)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ExceptHandler):
+    def check(self, program: Program) -> Iterator[Violation]:
+        for module in program.sources:
+            if _is_allowlisted(module.path):
                 continue
-            names = set(_named_types(node.type))
-            caught = sorted(names & _FAILURE_TYPES)
-            if caught:
-                yield self.violation(
-                    module,
-                    node,
-                    f"except {', '.join(caught)} outside the sanctioned "
-                    f"recovery sites (engines/base.py, exec/executor.py) — "
-                    f"failures must reach Engine.run to be priced",
-                )
-            elif guarded and names & _BROAD and not _reraises(node):
-                yield self.violation(
-                    module,
-                    node,
-                    "broad except without re-raise inside engines//exec "
-                    "can absorb a SimulatedFailure before its recovery "
-                    "cost is charged — catch specific types or re-raise",
-                )
+            guarded = _is_guarded(module.path)
+            for node in module.index.walk(module.tree):
+                if not isinstance(node, ast.ExceptHandler):
+                    continue
+                names = set(_named_types(node.type))
+                caught = sorted(names & _FAILURE_TYPES)
+                if caught:
+                    yield self.violation(
+                        module.path,
+                        node,
+                        f"except {', '.join(caught)} outside the sanctioned "
+                        f"recovery sites (engines/base.py, exec/executor.py) — "
+                        f"failures must reach Engine.run to be priced",
+                    )
+                elif (
+                    guarded
+                    and names & _BROAD
+                    and not reraises(module.index, node)
+                ):
+                    yield self.violation(
+                        module.path,
+                        node,
+                        "broad except without re-raise inside engines//exec "
+                        "can absorb a SimulatedFailure before its recovery "
+                        "cost is charged — catch specific types or re-raise",
+                    )

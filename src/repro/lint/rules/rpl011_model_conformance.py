@@ -10,7 +10,7 @@ divergence would be an engine quietly charging a primitive its real
 counterpart cannot perform — and every cost grid built on it.
 
 Each concrete engine declares ``model_primitives`` (a frozenset of
-:data:`~repro.lint.deep.callgraph.PRIMITIVES` names); this rule verifies
+:data:`~repro.lint.callgraph.PRIMITIVES` names); this rule verifies
 (a) the declaration exists and is statically parseable, (b) it is a
 subset of what ``MODEL_PRIMITIVES[trace_model]`` allows the engine's
 computation model, and (c) every cluster-primitive call site reachable
@@ -23,11 +23,16 @@ from __future__ import annotations
 
 from typing import Iterator, List, Tuple
 
-from ..rules.base import Violation
-from .base import DeepRule, concrete_engines, model_primitive_table, parse_primitive_set
-from .callgraph import call_sites
-from .program import FunctionInfo, Program
-from .reachability import engine_cone
+from ..callgraph import call_sites
+from ..program import FunctionInfo, Program
+from ..reachability import engine_cone
+from .base import (
+    Rule,
+    Violation,
+    concrete_engines,
+    model_primitive_table,
+    parse_primitive_set,
+)
 
 __all__ = ["ModelConformanceRule"]
 
@@ -52,7 +57,7 @@ def _sites_in_cone(
     return sites
 
 
-class ModelConformanceRule(DeepRule):
+class ModelConformanceRule(Rule):
     """Every primitive reachable from Engine.run is allowed by its model."""
 
     code = "RPL011"
@@ -63,7 +68,7 @@ class ModelConformanceRule(DeepRule):
         "the paper's cross-system cost comparison is meaningless"
     )
 
-    def check_program(self, program: Program) -> Iterator[Violation]:
+    def check(self, program: Program) -> Iterator[Violation]:
         table = model_primitive_table(program)
         emitted = set()
         for engine in concrete_engines(program):

@@ -4,7 +4,7 @@ The repo's headline guarantee — same seed ⇒ byte-identical journals,
 parallel == sequential bit-for-bit — holds only if no value flowing into
 a :class:`RunResult` field or a Journal payload depends on unordered
 iteration, unseeded randomness, host time, or other run-to-run-varying
-sources. The shallow rules catch the easy shapes file-locally (RPL001
+sources. The file-local rules catch the easy shapes (RPL001
 wall-clock, RPL002 RNG, RPL008 set accumulation); this rule applies the
 stricter taint policy to exactly the functions whose return values can
 reach result/journal state: everything reachable from an engine's
@@ -18,7 +18,7 @@ Flagged sources inside that cone:
 - ``.pop()`` with no argument on a set expression (arbitrary element);
 - host-clock calls (RPL001's banned list) and unseeded RNG (RPL002's
   classifier) — re-checked here because the cone crosses files the
-  shallow allowlists may not cover;
+  file-local allowlists may not cover;
 - unsorted ``os.listdir`` / ``os.scandir`` / ``glob.glob`` /
   ``glob.iglob`` (filesystem order is platform-dependent);
 - ``uuid.uuid1()`` / ``uuid.uuid4()`` (host/time/random identity).
@@ -33,15 +33,14 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Set, Tuple
 
-from ..rules.base import Violation
-from ..source import dotted_name
-from .base import DeepRule, concrete_engines
-from .program import FunctionInfo, Program
-from .reachability import engine_cone
-from ..rules.rpl001_wallclock import _BANNED as _BANNED_CLOCKS
-from ..rules.rpl001_wallclock import _is_allowlisted as _hostclock_door
-from ..rules.rpl002_randomness import RandomnessRule
-from ..rules.rpl008_set_iteration import _set_expression as set_expression
+from ..program import FunctionInfo, Program
+from ..reachability import engine_cone
+from ..source import NodeIndex, dotted_name
+from .base import Rule, Violation, concrete_engines
+from .rpl001_wallclock import _BANNED as _BANNED_CLOCKS
+from .rpl001_wallclock import _is_allowlisted as _hostclock_door
+from .rpl002_randomness import RandomnessRule
+from .rpl008_set_iteration import _set_expression as set_expression
 
 __all__ = ["DeterminismTaintRule"]
 
@@ -78,7 +77,7 @@ def _scoped_functions(program: Program) -> List[FunctionInfo]:
     return [picked[q] for q in sorted(picked)]
 
 
-class DeterminismTaintRule(DeepRule):
+class DeterminismTaintRule(Rule):
     """No unordered/unseeded/host-varying source in the result cone."""
 
     code = "RPL012"
@@ -89,18 +88,18 @@ class DeterminismTaintRule(DeepRule):
         "filesystem order must not flow into them"
     )
 
-    def check_program(self, program: Program) -> Iterator[Violation]:
+    def check(self, program: Program) -> Iterator[Violation]:
         for fn in _scoped_functions(program):
             if _hostclock_door(fn.module.path):
                 # the one sanctioned wall-clock module (see RPL001):
                 # it profiles the simulator, never a simulated quantity
                 continue
             imports = fn.module.source.imports
-            for node, message in self._scan(fn.node, imports):
+            for node, message in self._scan(fn.index, fn.node, imports):
                 yield self.violation(fn.module.path, node, message)
 
     def _scan(
-        self, root: ast.AST, imports
+        self, index: NodeIndex, root: ast.AST, imports
     ) -> List[Tuple[ast.AST, str]]:
         findings: List[Tuple[ast.AST, str]] = []
         order_safe_nodes: Set[int] = set()
@@ -170,7 +169,7 @@ class DeterminismTaintRule(DeepRule):
                         f"cone — set order is hash-dependent; iterate "
                         f"sorted(...)",
                     ))
-            for child in ast.iter_child_nodes(node):
+            for child in index.children(node):
                 visit(child, safe_here)
 
         visit(root, False)

@@ -27,11 +27,10 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Tuple
 
-from ..rules.base import Violation
+from ..program import FunctionInfo, Program
+from ..reachability import engine_cone
 from ..source import dotted_parts
-from .base import DeepRule, concrete_engines
-from .program import FunctionInfo, Program
-from .reachability import engine_cone
+from .base import Rule, Violation, concrete_engines
 
 __all__ = ["SpanCoverageRule"]
 
@@ -56,7 +55,7 @@ def _is_span_with(stmt: ast.AST) -> bool:
     return False
 
 
-def _unspanned_records(fn_node: ast.AST) -> List[Tuple[ast.Call, str]]:
+def _unspanned_records(fn: FunctionInfo) -> List[Tuple[ast.Call, str]]:
     findings: List[Tuple[ast.Call, str]] = []
 
     def visit(node: ast.AST, in_span: bool) -> None:
@@ -72,10 +71,10 @@ def _unspanned_records(fn_node: ast.AST) -> List[Tuple[ast.Call, str]]:
                 and not covered
             ):
                 findings.append((node, parts[-1]))
-        for child in ast.iter_child_nodes(node):
+        for child in fn.index.children(node):
             visit(child, covered)
 
-    visit(fn_node, False)
+    visit(fn.node, False)
     return findings
 
 
@@ -95,7 +94,7 @@ def _scoped_functions(program: Program) -> List[FunctionInfo]:
     return [picked[q] for q in sorted(picked)]
 
 
-class SpanCoverageRule(DeepRule):
+class SpanCoverageRule(Rule):
     """Every disk/network/memory-integral record in an engine cone is spanned."""
 
     code = "RPL013"
@@ -106,9 +105,9 @@ class SpanCoverageRule(DeepRule):
         "accounting and the cost record would under-report model cost"
     )
 
-    def check_program(self, program: Program) -> Iterator[Violation]:
+    def check(self, program: Program) -> Iterator[Violation]:
         for fn in _scoped_functions(program):
-            for call, record in _unspanned_records(fn.node):
+            for call, record in _unspanned_records(fn):
                 yield self.violation(
                     fn.module.path,
                     call,

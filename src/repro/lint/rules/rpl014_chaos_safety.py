@@ -24,24 +24,22 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Set
 
-from ..rules.base import Violation
-from ..rules.rpl010_recovery_sites import (
+from ..callgraph import PRIMITIVES, call_sites, resolve_targets, sites_in
+from ..program import FunctionInfo, Program
+from ..source import NodeIndex, dotted_parts
+from .base import Rule, Violation, reraises
+from .rpl010_recovery_sites import (
     _ALLOWED_FRAGMENTS,
     _BROAD,
     _FAILURE_TYPES,
     _named_types,
-    _reraises,
 )
-from ..source import dotted_parts
-from .base import DeepRule
-from .callgraph import call_sites, resolve_targets
-from .program import FunctionInfo, Program
 
 __all__ = ["ChaosSafetyRule"]
 
 
-def _raises_failure_type(node: ast.AST) -> bool:
-    for sub in ast.walk(node):
+def _raises_failure_type(index: NodeIndex, node: ast.AST) -> bool:
+    for sub in index.walk(node):
         if isinstance(sub, ast.Raise) and sub.exc is not None:
             exc = sub.exc
             if isinstance(exc, ast.Call):
@@ -52,10 +50,8 @@ def _raises_failure_type(node: ast.AST) -> bool:
     return False
 
 
-def _has_primitive_site(node: ast.AST) -> bool:
-    from .callgraph import PRIMITIVES
-
-    for sub in ast.walk(node):
+def _has_primitive_site(index: NodeIndex, node: ast.AST) -> bool:
+    for sub in index.walk(node):
         if isinstance(sub, ast.Call) and isinstance(
             sub.func, ast.Attribute
         ):
@@ -77,7 +73,9 @@ def _can_raise_set(program: Program) -> Set[str]:
     worklist: List[str] = []
     for qualname in sorted(program.functions):
         fn = program.functions[qualname]
-        if _raises_failure_type(fn.node) or _has_primitive_site(fn.node):
+        if _raises_failure_type(fn.index, fn.node) or _has_primitive_site(
+            fn.index, fn.node
+        ):
             can_raise.add(qualname)
             worklist.append(qualname)
         for site in call_sites(fn):
@@ -101,27 +99,20 @@ def _try_body_can_raise(
     can_raise: Set[str],
 ) -> bool:
     for stmt in try_node.body:
-        if _raises_failure_type(stmt) or _has_primitive_site(stmt):
+        if _raises_failure_type(fn.index, stmt) or _has_primitive_site(
+            fn.index, stmt
+        ):
             return True
-    # a faux FunctionInfo restricted to the try body keeps call-site
-    # extraction and resolution identical to the fixpoint's
-    body_holder = ast.Module(body=list(try_node.body), type_ignores=[])
-    probe = FunctionInfo(
-        name=fn.name,
-        qualname=fn.qualname,
-        module=fn.module,
-        node=body_holder,
-        owner=fn.owner,
-        is_abstract=False,
-    )
-    for site in call_sites(probe):
-        for target, _binding in resolve_targets(program, site, probe, fn.owner):
-            if target.qualname in can_raise:
-                return True
+    # the try body's call sites resolve exactly as the fixpoint's do
+    for stmt in try_node.body:
+        for site in sites_in(fn.index, stmt):
+            for target, _binding in resolve_targets(program, site, fn, fn.owner):
+                if target.qualname in can_raise:
+                    return True
     return False
 
 
-class ChaosSafetyRule(DeepRule):
+class ChaosSafetyRule(Rule):
     """Broad handlers must not absorb reachable simulated faults."""
 
     code = "RPL014"
@@ -133,20 +124,20 @@ class ChaosSafetyRule(DeepRule):
         "runs that ate a fault"
     )
 
-    def check_program(self, program: Program) -> Iterator[Violation]:
+    def check(self, program: Program) -> Iterator[Violation]:
         can_raise = _can_raise_set(program)
         for qualname in sorted(program.functions):
             fn = program.functions[qualname]
             path = fn.module.path
             if any(fragment in path for fragment in _ALLOWED_FRAGMENTS):
                 continue
-            for node in ast.walk(fn.node):
+            for node in fn.index.walk(fn.node):
                 if not isinstance(node, ast.Try):
                     continue
                 for handler in node.handlers:
                     names = set(_named_types(handler.type))
                     broad = handler.type is None or bool(names & _BROAD)
-                    if not broad or _reraises(handler):
+                    if not broad or reraises(fn.index, handler):
                         continue
                     if _try_body_can_raise(program, fn, node, can_raise):
                         yield self.violation(

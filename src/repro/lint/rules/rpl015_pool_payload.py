@@ -26,11 +26,10 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Optional
 
-from ..rules.base import Violation
-from ..source import dotted_parts
-from .base import DeepRule
-from .hotpath import pool_dispatch
-from .program import Program
+from ..hotpath import pool_dispatch
+from ..program import Program
+from ..source import NodeIndex, dotted_parts
+from .base import Rule, Violation
 
 __all__ = ["PoolPayloadRule"]
 
@@ -44,9 +43,9 @@ _LARGE_COLLECTIONS = frozenset({"datasets", "graphs", "specs", "grids"})
 _LARGE_CALLS = frozenset({"load_dataset", "edge_array", "without_self_edges"})
 
 
-def _large_evidence(node: ast.AST) -> Optional[str]:
+def _large_evidence(index: NodeIndex, node: ast.AST) -> Optional[str]:
     """Why this argument expression ships a large object, or None."""
-    for sub in ast.walk(node):
+    for sub in index.walk(node):
         if isinstance(sub, ast.Call):
             parts = dotted_parts(sub.func)
             if parts and parts[-1] in _LARGE_CALLS:
@@ -82,7 +81,7 @@ def _task_arguments(call: ast.Call, method: str) -> List[ast.AST]:
     return args
 
 
-class PoolPayloadRule(DeepRule):
+class PoolPayloadRule(Rule):
     """Flag pool dispatches in ``exec`` that pickle large objects."""
 
     code = "RPL015"
@@ -92,19 +91,19 @@ class PoolPayloadRule(DeepRule):
         "objects by name or cache key and rebuild in the worker"
     )
 
-    def check_program(self, program: Program) -> Iterator[Violation]:
+    def check(self, program: Program) -> Iterator[Violation]:
         for name in sorted(program.modules):
             module = program.modules[name]
             if "exec" not in module.name_parts:
                 continue
-            for node in ast.walk(module.source.tree):
+            for node in module.index.walk(module.source.tree):
                 if not isinstance(node, ast.Call):
                     continue
                 method = pool_dispatch(node)
                 if method is None:
                     continue
                 for arg in _task_arguments(node, method):
-                    evidence = _large_evidence(arg)
+                    evidence = _large_evidence(module.index, arg)
                     if evidence is not None:
                         yield self.violation(
                             module.path,

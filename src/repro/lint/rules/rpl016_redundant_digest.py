@@ -24,12 +24,11 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..rules.base import Violation
-from ..source import dotted_parts
-from .base import DeepRule
-from .callgraph import CallSite, call_sites, resolve_targets
-from .hotpath import loop_bodies, loop_call_sites
-from .program import ClassInfo, FunctionInfo, Program
+from ..callgraph import CallSite, call_sites, resolve_targets
+from ..hotpath import loop_bodies, loop_call_sites
+from ..program import ClassInfo, FunctionInfo, Program
+from ..source import NodeIndex, dotted_parts
+from .base import Rule, Violation
 
 __all__ = ["RedundantDigestRule"]
 
@@ -59,8 +58,8 @@ def _is_hashlib_call(site: CallSite, fn: FunctionInfo) -> bool:
     return resolved == "hashlib" or resolved.startswith("hashlib.")
 
 
-def _has_bulk_source(node: ast.AST) -> bool:
-    for sub in ast.walk(node):
+def _has_bulk_source(fn: FunctionInfo) -> bool:
+    for sub in fn.index.walk(fn.node):
         if (
             isinstance(sub, ast.Call)
             and isinstance(sub.func, ast.Attribute)
@@ -81,22 +80,25 @@ def _loop_bound_names(fn: FunctionInfo) -> Dict[int, frozenset]:
         names = set()
         if isinstance(loop, (ast.For, ast.AsyncFor)):
             names.update(
-                n.id for n in ast.walk(loop.target) if isinstance(n, ast.Name)
+                n.id for n in fn.index.walk(loop.target)
+                if isinstance(n, ast.Name)
             )
         for stmt in body:
-            for sub in ast.walk(stmt):
+            for sub in fn.index.walk(stmt):
                 if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
                     names.add(sub.id)
         for stmt in body:
-            for sub in ast.walk(stmt):
+            for sub in fn.index.walk(stmt):
                 bound.setdefault(id(sub), set()).update(names)
     return {key: frozenset(names) for key, names in bound.items()}
 
 
-def _invariant_bulk_source(call: ast.Call, bound: frozenset) -> bool:
+def _invariant_bulk_source(
+    index: NodeIndex, call: ast.Call, bound: frozenset
+) -> bool:
     """True when ``call`` hashes bulk bytes whose receiver is loop-invariant."""
     for arg in call.args:
-        for sub in ast.walk(arg):
+        for sub in index.walk(arg):
             if not (
                 isinstance(sub, ast.Call)
                 and isinstance(sub.func, ast.Attribute)
@@ -111,7 +113,7 @@ def _invariant_bulk_source(call: ast.Call, bound: frozenset) -> bool:
 
 def _is_bulk_digest(fn: FunctionInfo) -> bool:
     """The body both calls hashlib and consumes whole-object bytes."""
-    if not _has_bulk_source(fn.node):
+    if not _has_bulk_source(fn):
         return False
     return any(_is_hashlib_call(site, fn) for site in call_sites(fn))
 
@@ -124,7 +126,7 @@ def _node_key(node: _Node) -> Tuple[str, str]:
     return (fn.qualname, binding.qualname if binding else "")
 
 
-class RedundantDigestRule(DeepRule):
+class RedundantDigestRule(Rule):
     """Flag loop call sites that recompute an unmemoized bulk digest."""
 
     code = "RPL016"
@@ -135,7 +137,7 @@ class RedundantDigestRule(DeepRule):
         "hoist it out of the loop"
     )
 
-    def check_program(self, program: Program) -> Iterator[Violation]:
+    def check(self, program: Program) -> Iterator[Violation]:
         bulk = {
             fn.qualname
             for fn in program.functions.values()
@@ -175,12 +177,17 @@ class RedundantDigestRule(DeepRule):
 
         for qualname in sorted(program.functions):
             fn = program.functions[qualname]
+            sites = loop_call_sites(fn)
+            if not sites:
+                continue
             binding = fn.owner
             bound = _loop_bound_names(fn)
-            for site in loop_call_sites(fn):
+            for site in sites:
                 if _is_hashlib_call(site, fn):
                     if _invariant_bulk_source(
-                        site.node, bound.get(id(site.node), frozenset())
+                        fn.index,
+                        site.node,
+                        bound.get(id(site.node), frozenset()),
                     ):
                         yield self.violation(
                             fn.module.path,

@@ -28,12 +28,11 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Set, Tuple
 
-from ..rules.base import Violation
-from ..source import dotted_parts
-from .base import DeepRule, concrete_engines
-from .hotpath import nodes_in_loops
-from .program import FunctionInfo, Program
-from .reachability import Node, chaos_boundary, reachable
+from ..hotpath import nodes_in_loops
+from ..program import FunctionInfo, Program
+from ..reachability import Node, chaos_boundary, reachable
+from ..source import NodeIndex, dotted_parts
+from .base import Rule, Violation, concrete_engines
 
 __all__ = ["SuperstepHygieneRule"]
 
@@ -79,17 +78,17 @@ def _constant_container(node: ast.AST) -> bool:
     return False
 
 
-def _loop_variables(loop: ast.AST) -> Set[str]:
+def _loop_variables(index: NodeIndex, loop: ast.AST) -> Set[str]:
     names: Set[str] = set()
     target = getattr(loop, "target", None)
     if target is not None:
-        for sub in ast.walk(target):
+        for sub in index.walk(target):
             if isinstance(sub, ast.Name):
                 names.add(sub.id)
     return names
 
 
-class SuperstepHygieneRule(DeepRule):
+class SuperstepHygieneRule(Rule):
     """Flag avoidable per-iteration work inside the superstep cone."""
 
     code = "RPL017"
@@ -99,7 +98,7 @@ class SuperstepHygieneRule(DeepRule):
         "allocations, deep attribute chains, and string building out of it"
     )
 
-    def check_program(self, program: Program) -> Iterator[Violation]:
+    def check(self, program: Program) -> Iterator[Violation]:
         cone = _superstep_cone(program)
         checked: Set[str] = set()
         for fn, _binding in cone:
@@ -119,7 +118,7 @@ class SuperstepHygieneRule(DeepRule):
             if id(node) not in loop_vars:
                 loop_vars[id(node)] = set()
                 ordered.append(node)
-            loop_vars[id(node)] |= _loop_variables(loop)
+            loop_vars[id(node)] |= _loop_variables(fn.index, loop)
 
         flagged: Set[int] = set()
         for node in ordered:
@@ -181,7 +180,7 @@ class SuperstepHygieneRule(DeepRule):
                     continue  # varies per iteration: nothing to hoist
                 # flag the outermost chain only (its sub-chains are
                 # attribute nodes too and would double-report)
-                for sub in ast.walk(node):
+                for sub in fn.index.walk(node):
                     if sub is not node:
                         flagged.add(id(sub))
                 flagged.add(id(node))

@@ -27,9 +27,8 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from ..rules.base import Violation
-from .base import DeepRule, concrete_engines
-from .program import ModuleInfo, Program
+from ..program import FunctionInfo, ModuleInfo, Program
+from .base import Rule, Violation, concrete_engines
 
 __all__ = ["CacheKeySoundnessRule"]
 
@@ -140,9 +139,9 @@ def _listed_packages(node: ast.expr) -> Optional[Tuple[str, ...]]:
     return None
 
 
-def _dict_keys_in(fn_node: ast.AST) -> Set[str]:
+def _dict_keys_in(fn: FunctionInfo) -> Set[str]:
     keys: Set[str] = set()
-    for node in ast.walk(fn_node):
+    for node in fn.index.walk(fn.node):
         if isinstance(node, ast.Dict):
             for key in node.keys:
                 if isinstance(key, ast.Constant) and isinstance(
@@ -156,7 +155,7 @@ def _normalize_param(name: str) -> str:
     return name[: -len("_name")] if name.endswith("_name") else name
 
 
-class CacheKeySoundnessRule(DeepRule):
+class CacheKeySoundnessRule(Rule):
     """Flag result inputs that do not flow into the cache key."""
 
     code = "RPL018"
@@ -166,7 +165,7 @@ class CacheKeySoundnessRule(DeepRule):
         "cache key, or a hit silently replays a stale result"
     )
 
-    def check_program(self, program: Program) -> Iterator[Violation]:
+    def check(self, program: Program) -> Iterator[Violation]:
         cache_mod = _cache_module(program)
         if cache_mod is None:
             return  # no cache in the analyzed tree: nothing to check
@@ -211,7 +210,7 @@ class CacheKeySoundnessRule(DeepRule):
                 break
         if cell_key_fn is None or run_cell is None:
             return
-        keys = _dict_keys_in(cell_key_fn.node)
+        keys = _dict_keys_in(cell_key_fn)
         params = [
             arg.arg
             for arg in (

@@ -29,21 +29,20 @@ and passes.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
-from ..rules.base import Violation
+from ..concurrency import (
+    CONCURRENT_PACKAGES,
+    _binds_locally,
+    _is_mutable_value,
+)
+from ..hotpath import pool_dispatch
+from ..program import FunctionInfo, ModuleInfo, Program
+from ..reachability import Node, reachable
 from ..source import dotted_parts
-from .base import DeepRule
-from .hotpath import pool_dispatch
-from .program import FunctionInfo, ModuleInfo, Program
-from .reachability import Node, reachable
+from .base import Rule, Violation
 
 __all__ = ["WorkerSharingRule"]
-
-#: constructors whose module-level result is mutable shared state
-_MUTABLE_CONSTRUCTORS = frozenset({
-    "dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque",
-})
 
 #: method calls that mutate their receiver in place
 _MUTATORS = frozenset({
@@ -52,26 +51,12 @@ _MUTATORS = frozenset({
 })
 
 
-def _is_mutable_value(node: ast.expr) -> bool:
-    if isinstance(node, (ast.Dict, ast.List, ast.Set, ast.DictComp,
-                         ast.ListComp, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call):
-        parts = dotted_parts(node.func)
-        return bool(parts) and parts[-1] in _MUTABLE_CONSTRUCTORS
-    return False
-
-
-#: packages under scrutiny: every RPL009 concurrency door
-_CONCURRENT_PACKAGES = ("exec", "serve")
-
-
 def _exec_modules(program: Program) -> List[ModuleInfo]:
     return [
         program.modules[name]
         for name in sorted(program.modules)
         if any(pkg in program.modules[name].name_parts
-               for pkg in _CONCURRENT_PACKAGES)
+               for pkg in CONCURRENT_PACKAGES)
     ]
 
 
@@ -102,7 +87,7 @@ def _worker_cone(program: Program) -> Set[str]:
             for name in sorted(module.functions):
                 if name in exported:
                     add(module.functions[name])
-        for node in ast.walk(module.source.tree):
+        for node in module.index.walk(module.source.tree):
             if not isinstance(node, ast.Call) or pool_dispatch(node) is None:
                 continue
             if not node.args or not isinstance(node.args[0], ast.Name):
@@ -116,31 +101,6 @@ def _worker_cone(program: Program) -> Set[str]:
                 )
             add(target)
     return {fn.qualname for fn, _ in reachable(program, roots)}
-
-
-def _binds_locally(fn: FunctionInfo, name: str) -> bool:
-    """True when ``name`` is a parameter or plain local of ``fn``."""
-    node = fn.node
-    args = node.args
-    for arg in (
-        args.posonlyargs + args.args + args.kwonlyargs
-        + ([args.vararg] if args.vararg else [])
-        + ([args.kwarg] if args.kwarg else [])
-    ):
-        if arg.arg == name:
-            return True
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Global) and name in sub.names:
-            return False
-        if isinstance(sub, ast.Assign):
-            for target in sub.targets:
-                if isinstance(target, ast.Name) and target.id == name:
-                    return True
-        if isinstance(sub, (ast.For, ast.AsyncFor)):
-            for t in ast.walk(sub.target):
-                if isinstance(t, ast.Name) and t.id == name:
-                    return True
-    return False
 
 
 def _references(
@@ -167,7 +127,7 @@ def _references(
         resolved = fn.module.source.imports.resolve(prefix) or prefix
         return fn.module.resolve_relative(resolved) == module.name
 
-    for node in ast.walk(fn.node):
+    for node in fn.index.walk(fn.node):
         if isinstance(node, ast.AugAssign) and refers(node.target):
             yield node, True
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -189,7 +149,7 @@ def _references(
                 yield node, False
 
 
-class WorkerSharingRule(DeepRule):
+class WorkerSharingRule(Rule):
     """Flag exec module state that cannot survive a process boundary."""
 
     code = "RPL019"
@@ -199,7 +159,7 @@ class WorkerSharingRule(DeepRule):
         "workers must re-derive it or receive it in the task payload"
     )
 
-    def check_program(self, program: Program) -> Iterator[Violation]:
+    def check(self, program: Program) -> Iterator[Violation]:
         exec_modules = _exec_modules(program)
         if not exec_modules:
             return

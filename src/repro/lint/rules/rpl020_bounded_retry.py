@@ -31,10 +31,10 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Optional, Set, Tuple
 
-from ..rules.base import Violation
-from .base import DeepRule
-from .callgraph import call_sites, resolve_targets
-from .program import ClassInfo, FunctionInfo, Program
+from ..callgraph import call_sites, resolve_targets
+from ..program import ClassInfo, FunctionInfo, Program
+from ..source import NodeIndex
+from .base import Rule, Violation
 
 __all__ = ["BoundedRetryRule"]
 
@@ -58,7 +58,9 @@ def _loop_reaches_sleep(
     """Does the loop body's same-module call closure reach host_sleep?"""
     module = fn.module
     binding = fn.owner
-    in_loop = {id(n) for n in ast.walk(loop) if isinstance(n, ast.Call)}
+    in_loop = {
+        id(n) for n in fn.index.walk(loop) if isinstance(n, ast.Call)
+    }
 
     stack: List[_Node] = []
 
@@ -88,11 +90,11 @@ def _loop_reaches_sleep(
     return False
 
 
-def _loop_assigned_names(loop: ast.While) -> Set[str]:
+def _loop_assigned_names(index: NodeIndex, loop: ast.While) -> Set[str]:
     """Names stored (assignment, augmented, for-target) in the loop body."""
     names: Set[str] = set()
     for stmt in loop.body:
-        for sub in ast.walk(stmt):
+        for sub in index.walk(stmt):
             if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
                 names.add(sub.id)
     return names
@@ -106,7 +108,9 @@ def _is_clock_call(node: ast.expr) -> bool:
     return name == _NOW_NAME
 
 
-def _bounding_compare(test: ast.expr, assigned: Set[str]) -> bool:
+def _bounding_compare(
+    index: NodeIndex, test: ast.expr, assigned: Set[str]
+) -> bool:
     """A comparison against per-iteration progress: counter or clock.
 
     An arbitrary call in a comparison (``response.get("error") !=
@@ -114,7 +118,7 @@ def _bounding_compare(test: ast.expr, assigned: Set[str]) -> bool:
     (``host_now() >= deadline``) or a name the loop body mutates
     (``attempt >= retries``) measures the wait itself.
     """
-    for sub in ast.walk(test):
+    for sub in index.walk(test):
         if not isinstance(sub, ast.Compare):
             continue
         for operand in [sub.left] + list(sub.comparators):
@@ -125,30 +129,30 @@ def _bounding_compare(test: ast.expr, assigned: Set[str]) -> bool:
     return False
 
 
-def _guards_exit(branch: ast.If) -> bool:
+def _guards_exit(index: NodeIndex, branch: ast.If) -> bool:
     return any(
         isinstance(sub, (ast.Break, ast.Return, ast.Raise))
-        for sub in ast.walk(branch)
+        for sub in index.walk(branch)
     )
 
 
-def _loop_is_bounded(loop: ast.While) -> bool:
+def _loop_is_bounded(index: NodeIndex, loop: ast.While) -> bool:
     test = loop.test
     if not (isinstance(test, ast.Constant) and test.value):
         return True  # the condition itself can end the loop
-    assigned = _loop_assigned_names(loop)
+    assigned = _loop_assigned_names(index, loop)
     for stmt in loop.body:
-        for sub in ast.walk(stmt):
+        for sub in index.walk(stmt):
             if (
                 isinstance(sub, ast.If)
-                and _guards_exit(sub)
-                and _bounding_compare(sub.test, assigned)
+                and _guards_exit(index, sub)
+                and _bounding_compare(index, sub.test, assigned)
             ):
                 return True
     return False
 
 
-class BoundedRetryRule(DeepRule):
+class BoundedRetryRule(Rule):
     """Flag host-sleeping ``while`` loops that can never give up."""
 
     code = "RPL020"
@@ -159,13 +163,13 @@ class BoundedRetryRule(DeepRule):
         "attempt counter or a host-clock deadline"
     )
 
-    def check_program(self, program: Program) -> Iterator[Violation]:
+    def check(self, program: Program) -> Iterator[Violation]:
         for qualname in sorted(program.functions):
             fn = program.functions[qualname]
-            for node in ast.walk(fn.node):
+            for node in fn.index.walk(fn.node):
                 if not isinstance(node, ast.While):
                     continue
-                if _loop_is_bounded(node):
+                if _loop_is_bounded(fn.index, node):
                     continue
                 if not _loop_reaches_sleep(program, fn, node):
                     continue

@@ -45,15 +45,14 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..rules.base import Violation
-from .base import DeepRule
-from .concurrency import ConcurrencyAnalysis, field_groups
-from .program import Program
+from ..concurrency import ConcurrencyAnalysis, field_groups
+from ..program import Program
+from .base import Rule, Violation
 
 __all__ = ["GuardedFieldRule"]
 
 
-class GuardedFieldRule(DeepRule):
+class GuardedFieldRule(Rule):
     """Flag fields guarded on one thread root but bare on another."""
 
     code = "RPL021"
@@ -63,7 +62,7 @@ class GuardedFieldRule(DeepRule):
         "another is a data race; hold the same lock at every access"
     )
 
-    def check_program(self, program: Program) -> Iterator[Violation]:
+    def check(self, program: Program) -> Iterator[Violation]:
         analysis = ConcurrencyAnalysis.of(program)
         for group in field_groups(analysis):
             if not group.writes or not group.concurrent:

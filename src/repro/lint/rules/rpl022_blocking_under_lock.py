@@ -37,10 +37,9 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Set, Tuple
 
-from ..rules.base import Violation
-from .base import DeepRule
-from .concurrency import ConcurrencyAnalysis
-from .program import Program
+from ..concurrency import ConcurrencyAnalysis
+from ..program import Program
+from .base import Rule, Violation
 
 __all__ = ["BlockingUnderLockRule"]
 
@@ -76,7 +75,7 @@ def _lock_cycles(
     return cycles
 
 
-class BlockingUnderLockRule(DeepRule):
+class BlockingUnderLockRule(Rule):
     """Flag blocking calls under a held lock and cyclic lock orders."""
 
     code = "RPL022"
@@ -87,7 +86,7 @@ class BlockingUnderLockRule(DeepRule):
         "section and lock acquisition order must be acyclic"
     )
 
-    def check_program(self, program: Program) -> Iterator[Violation]:
+    def check(self, program: Program) -> Iterator[Violation]:
         analysis = ConcurrencyAnalysis.of(program)
         seen: Set[Tuple[str, int, int, str]] = set()
         for call in analysis.blocking_calls:

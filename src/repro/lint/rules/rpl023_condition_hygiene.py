@@ -40,15 +40,14 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..rules.base import Violation
-from .base import DeepRule
-from .concurrency import ConcurrencyAnalysis
-from .program import Program
+from ..concurrency import ConcurrencyAnalysis
+from ..program import Program
+from .base import Rule, Violation
 
 __all__ = ["ConditionHygieneRule"]
 
 
-class ConditionHygieneRule(DeepRule):
+class ConditionHygieneRule(Rule):
     """Flag waits outside predicate loops and notifies without the lock."""
 
     code = "RPL023"
@@ -58,7 +57,7 @@ class ConditionHygieneRule(DeepRule):
         "(wakeups are advisory) and wait/notify require the lock held"
     )
 
-    def check_program(self, program: Program) -> Iterator[Violation]:
+    def check(self, program: Program) -> Iterator[Violation]:
         analysis = ConcurrencyAnalysis.of(program)
         seen = set()
         for op in analysis.sync_ops:

@@ -41,15 +41,14 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..rules.base import Violation
-from .base import DeepRule
-from .concurrency import ConcurrencyAnalysis, field_groups, global_groups
-from .program import Program
+from ..concurrency import ConcurrencyAnalysis, field_groups, global_groups
+from ..program import Program
+from .base import Rule, Violation
 
 __all__ = ["ThreadConfinementRule"]
 
 
-class ThreadConfinementRule(DeepRule):
+class ThreadConfinementRule(Rule):
     """Flag cross-thread mutable state with no lock in common."""
 
     code = "RPL024"
@@ -60,7 +59,7 @@ class ThreadConfinementRule(DeepRule):
         "guard every access with the same lock"
     )
 
-    def check_program(self, program: Program) -> Iterator[Violation]:
+    def check(self, program: Program) -> Iterator[Violation]:
         analysis = ConcurrencyAnalysis.of(program)
         for group in global_groups(analysis):
             if not group.writes or not group.concurrent:

@@ -1,11 +1,14 @@
-"""Parsed-source container and import resolution shared by every rule.
+"""Reading and parsing one file, and everything a rule reads from it.
 
-A :class:`SourceModule` bundles one file's text, its AST, and the
-``# noqa`` suppression map so rules never re-tokenize. The
-:class:`ImportMap` resolves local names back to the fully qualified
-module path they were imported from (``np.random.rand`` →
-``numpy.random.rand``), which is what lets the wall-clock and
-randomness rules see through aliases.
+:func:`read_source` is the linter's only read-and-parse path: it turns a
+file into a :class:`SourceModule` — text, AST, ``# noqa`` map, import
+map and node index — or, when the file cannot be decoded or parsed,
+into an RPL000 :class:`Violation`. The :class:`NodeIndex` records every
+node's children during one walk of the file's tree, so rules query
+subtrees instead of walking the tree again. The :class:`ImportMap`
+resolves local names back to the fully qualified module path they were
+imported from (``np.random.rand`` → ``numpy.random.rand``), which is
+what lets the wall-clock and randomness rules see through aliases.
 """
 
 from __future__ import annotations
@@ -13,15 +16,77 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
-__all__ = ["SourceModule", "ImportMap", "dotted_parts", "dotted_name", "target_chain"]
+__all__ = [
+    "PARSE_ERROR_CODE",
+    "Violation",
+    "NodeIndex",
+    "SourceModule",
+    "ImportMap",
+    "read_source",
+    "dotted_parts",
+    "dotted_name",
+    "target_chain",
+]
+
+#: pseudo-code reported when a file cannot be decoded or parsed at all
+PARSE_ERROR_CODE = "RPL000"
 
 #: flake8-compatible suppression comment: ``# noqa`` or ``# noqa: RPL001, RPL004``
 _NOQA_RE = re.compile(
     r"#\s*noqa(?::\s*(?P<codes>[A-Z]+[0-9]+(?:\s*,\s*[A-Z]+[0-9]+)*))?",
     re.IGNORECASE,
 )
+
+
+@dataclass(frozen=True)
+class Violation:
+    """One finding: a rule code anchored to a file position."""
+
+    code: str
+    message: str
+    path: str
+    line: int
+    col: int
+
+    def format(self) -> str:
+        """flake8-style one-liner: ``path:line:col: CODE message``."""
+        return f"{self.path}:{self.line}:{self.col + 1}: {self.code} {self.message}"
+
+
+class NodeIndex:
+    """Every node of one file, recorded by one walk of its tree at parse time.
+
+    The walk is ``ast.walk``'s own breadth-first traversal, keeping each
+    node's children as it goes. ``walk(node)`` then returns what
+    ``list(ast.walk(node))`` would — the same nodes in the same order —
+    from those child lists, memoized per node, so asking twice costs
+    nothing and no rule traverses the tree again.
+    """
+
+    def __init__(self, tree: ast.AST) -> None:
+        self._children: Dict[ast.AST, Tuple[ast.AST, ...]] = {}
+        order = [tree]
+        for node in order:  # extends while iterating: breadth-first
+            children = tuple(ast.iter_child_nodes(node))
+            self._children[node] = children
+            order.extend(children)
+        self._walks: Dict[ast.AST, List[ast.AST]] = {tree: order}
+
+    def children(self, node: ast.AST) -> Tuple[ast.AST, ...]:
+        """``node``'s direct children, as ``ast.iter_child_nodes`` orders them."""
+        return self._children[node]
+
+    def walk(self, node: ast.AST) -> List[ast.AST]:
+        """``node`` and all its descendants in ``ast.walk`` order."""
+        found = self._walks.get(node)
+        if found is None:
+            found = [node]
+            for item in found:  # extends while iterating: breadth-first
+                found.extend(self._children[item])
+            self._walks[node] = found
+        return found
 
 
 class ImportMap:
@@ -31,10 +96,10 @@ class ImportMap:
         self._bindings: Dict[str, str] = {}
 
     @classmethod
-    def from_tree(cls, tree: ast.AST) -> "ImportMap":
-        """Collect every import binding in the module, at any depth."""
+    def from_nodes(cls, nodes: List[ast.AST]) -> "ImportMap":
+        """Collect every import binding among a module's nodes."""
         imports = cls()
-        for node in ast.walk(tree):
+        for node in nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.asname:
@@ -109,6 +174,7 @@ class SourceModule:
     path: str
     text: str
     tree: ast.Module
+    index: NodeIndex
     imports: ImportMap
     #: line → suppressed codes; None means a bare ``# noqa`` (all codes)
     noqa: Dict[int, Optional[FrozenSet[str]]]
@@ -127,11 +193,13 @@ class SourceModule:
                     if codes
                     else None
                 )
+        index = NodeIndex(tree)
         return cls(
             path=path,
             text=text,
             tree=tree,
-            imports=ImportMap.from_tree(tree),
+            index=index,
+            imports=ImportMap.from_nodes(index.walk(tree)),
             noqa=noqa,
         )
 
@@ -141,3 +209,42 @@ class SourceModule:
             return False
         codes = self.noqa[line]
         return codes is None or code in codes
+
+
+def read_source(path: str) -> Union[SourceModule, Violation]:
+    """Read and parse one file, or say why it cannot be linted.
+
+    A file that is not valid UTF-8 or not valid Python is an RPL000
+    finding, not a traceback, so a run keeps checking the rest of the
+    tree. An unreadable file (``OSError``) propagates to the caller.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        return Violation(
+            code=PARSE_ERROR_CODE,
+            message=f"could not decode file as UTF-8: {exc.reason}",
+            path=path,
+            line=1,
+            col=0,
+        )
+    try:
+        return SourceModule.parse(text, path=path)
+    except SyntaxError as exc:
+        return Violation(
+            code=PARSE_ERROR_CODE,
+            message=f"could not parse file: {exc.msg}",
+            path=path,
+            line=exc.lineno or 1,
+            col=(exc.offset or 1) - 1,
+        )
+    except ValueError as exc:
+        # python 3.9 raises bare ValueError for e.g. null bytes
+        return Violation(
+            code=PARSE_ERROR_CODE,
+            message=f"could not parse file: {exc}",
+            path=path,
+            line=1,
+            col=0,
+        )

@@ -1,43 +1,34 @@
-"""repro.lint: every RPL rule has a positive and a negative fixture,
-noqa suppression works, the CLI exits correctly, and — the contract the
-whole package exists for — src/repro itself is lint-clean."""
+"""repro.lint: every file-local rule (RPL001-RPL010) has a positive and
+a negative fixture, noqa suppression and RPL000 parse errors work, and
+the CLI exits correctly. The whole-program rules, and the meta-test that
+src/repro itself is lint-clean, live in test_lint_deep.py."""
 
 import json
-import os
 import textwrap
 
 import pytest
 
 from repro.lint import (
-    ALL_RULES,
     PARSE_ERROR_CODE,
+    RULES,
     RULES_BY_CODE,
     expand_selectors,
-    lint_file,
-    lint_paths,
-    lint_source,
+    lint,
     select_rules,
 )
 from repro.lint.cli import main as lint_main
 
-SRC_REPRO = os.path.join(os.path.dirname(__file__), "..", "src", "repro")
-
-
-def codes(violations):
-    return [v.code for v in violations]
-
-
-def run(snippet, select=None):
-    rules = select_rules([select]) if select else None
-    return lint_source(textwrap.dedent(snippet), path="fixture.py", rules=rules)
+from .lint_harness import SRC_REPRO, codes, run
 
 
 # -- registry ---------------------------------------------------------------
 
 def test_registry_covers_rpl001_through_rpl010():
-    assert sorted(RULES_BY_CODE) == [f"RPL{i:03d}" for i in range(1, 11)]
-    assert len(ALL_RULES) == 10
-    for rule in ALL_RULES:
+    # one registry holds every rule; the file-local ones come first
+    assert [rule.code for rule in RULES[:10]] == [
+        f"RPL{i:03d}" for i in range(1, 11)
+    ]
+    for rule in RULES[:10]:
         assert rule.name and rule.rationale
 
 
@@ -47,7 +38,7 @@ def test_select_rules_rejects_unknown_code():
 
 
 def test_expand_selectors_prefix_matching():
-    available = list(RULES_BY_CODE) + ["RPL011", "RPL012"]
+    available = [f"RPL{i:03d}" for i in range(1, 13)]
     assert expand_selectors(["RPL001"], available) == ["RPL001"]
     assert expand_selectors(["RPL01"], available) == [
         "RPL010", "RPL011", "RPL012",
@@ -62,7 +53,7 @@ def test_expand_selectors_prefix_matching():
 def test_expand_selectors_exact_match_beats_prefix():
     # an exact code selects only itself even when it prefixes other
     # codes — the regression the docs promise now that RPL01 matches
-    # ten deep rules
+    # ten rules
     available = ["RPL016", "RPL0160", "RPL0161"]
     assert expand_selectors(["RPL016"], available) == ["RPL016"]
     assert expand_selectors(["rpl016"], available) == ["RPL016"]
@@ -73,9 +64,7 @@ def test_expand_selectors_exact_match_beats_prefix():
 
 
 def test_expand_selectors_rpl01_matches_ten_deep_rules():
-    from repro.lint.deep import DEEP_RULES_BY_CODE
-
-    available = list(RULES_BY_CODE) + list(DEEP_RULES_BY_CODE)
+    available = list(RULES_BY_CODE)
     expanded = expand_selectors(["RPL01"], available)
     assert expanded == [f"RPL{i:03d}" for i in range(10, 20)]
     assert len(expanded) == 10
@@ -439,7 +428,7 @@ def test_rpl008_clean_sorted_iteration():
 # -- RPL009 concurrency door ------------------------------------------------
 
 def test_rpl009_flags_concurrency_imports_outside_exec():
-    found = lint_source(
+    found = run(
         textwrap.dedent(
             """
             import threading
@@ -449,14 +438,14 @@ def test_rpl009_flags_concurrency_imports_outside_exec():
             """
         ),
         path="src/repro/core/runner.py",
-        rules=select_rules(["RPL009"]),
+        select="RPL009",
     )
     assert codes(found) == ["RPL009"] * 4
     assert "repro/exec" in found[0].message
 
 
 def test_rpl009_allowlists_the_executor_package():
-    found = lint_source(
+    found = run(
         textwrap.dedent(
             """
             from concurrent.futures import ProcessPoolExecutor
@@ -464,16 +453,16 @@ def test_rpl009_allowlists_the_executor_package():
             """
         ),
         path="src/repro/exec/executor.py",
-        rules=select_rules(["RPL009"]),
+        select="RPL009",
     )
     assert found == []
 
 
 def test_rpl009_allowlists_the_serving_package():
-    found = lint_source(
+    found = run(
         "import threading\nimport socketserver\n",
         path="src/repro/serve/daemon.py",
-        rules=select_rules(["RPL009"]),
+        select="RPL009",
     )
     assert found == []
 
@@ -492,16 +481,16 @@ def test_rpl009_ignores_relative_and_unrelated_imports():
 
 def test_rpl009_src_repro_has_only_sanctioned_concurrency_doors():
     # the repo-level contract: every concurrency import in src/repro
-    # lives under repro/exec/ or repro/serve/ (lint_paths on the real
+    # lives under repro/exec/ or repro/serve/ (lint on the real
     # tree proves it)
-    violations = lint_paths([SRC_REPRO], rules=select_rules(["RPL009"]))
+    violations = lint([SRC_REPRO], rules=select_rules(["RPL009"]))
     assert violations == []
 
 
 # -- RPL010 recovery sites --------------------------------------------------
 
 def test_rpl010_flags_simulated_failure_catch_outside_recovery_sites():
-    found = lint_source(
+    found = run(
         textwrap.dedent(
             """
             def sneaky(engine, dataset, workload, spec):
@@ -512,14 +501,14 @@ def test_rpl010_flags_simulated_failure_catch_outside_recovery_sites():
             """
         ),
         path="src/repro/core/runner.py",
-        rules=select_rules(["RPL010"]),
+        select="RPL010",
     )
     assert codes(found) == ["RPL010"]
     assert "recovery sites" in found[0].message
 
 
 def test_rpl010_flags_failure_subtypes_and_dotted_names():
-    found = lint_source(
+    found = run(
         textwrap.dedent(
             """
             def absorb(compute):
@@ -532,14 +521,14 @@ def test_rpl010_flags_failure_subtypes_and_dotted_names():
             """
         ),
         path="src/repro/workloads/pagerank.py",
-        rules=select_rules(["RPL010"]),
+        select="RPL010",
     )
     assert codes(found) == ["RPL010", "RPL010"]
     assert "SimulatedOOM, SimulatedTimeout" in found[0].message
 
 
 def test_rpl010_flags_swallowed_broad_except_in_guarded_packages():
-    found = lint_source(
+    found = run(
         textwrap.dedent(
             """
             def helper(compute):
@@ -550,7 +539,7 @@ def test_rpl010_flags_swallowed_broad_except_in_guarded_packages():
             """
         ),
         path="src/repro/engines/bsp.py",
-        rules=select_rules(["RPL010"]),
+        select="RPL010",
     )
     assert codes(found) == ["RPL010"]
     assert "recovery cost" in found[0].message
@@ -567,13 +556,11 @@ def test_rpl010_allowlists_the_sanctioned_recovery_sites():
         """
     )
     for path in ("src/repro/engines/base.py", "src/repro/exec/executor.py"):
-        assert lint_source(
-            snippet, path=path, rules=select_rules(["RPL010"])
-        ) == []
+        assert run(snippet, path=path, select="RPL010") == []
 
 
 def test_rpl010_clean_specific_or_reraising_handlers_elsewhere():
-    found = lint_source(
+    found = run(
         textwrap.dedent(
             """
             def parse(text):
@@ -590,7 +577,7 @@ def test_rpl010_clean_specific_or_reraising_handlers_elsewhere():
             """
         ),
         path="src/repro/exec/workers.py",
-        rules=select_rules(["RPL010"]),
+        select="RPL010",
     )
     assert found == []
 
@@ -647,14 +634,14 @@ def test_noqa_multiple_codes_suppress_only_whats_listed():
 
 
 def test_parse_error_reported_as_rpl000():
-    found = lint_source("def broken(:\n", path="bad.py")
+    found = run("def broken(:\n", path="bad.py")
     assert codes(found) == [PARSE_ERROR_CODE]
 
 
 def test_undecodable_file_reported_as_rpl000_not_traceback(tmp_path):
     bad = tmp_path / "latin.py"
     bad.write_bytes(b'x = "\xff\xfe"\n')
-    found = lint_file(str(bad))
+    found = lint([str(bad)])
     assert codes(found) == [PARSE_ERROR_CODE]
     assert found[0].line == 1
     assert "decode" in found[0].message
@@ -664,16 +651,9 @@ def test_undecodable_file_reported_as_rpl000_not_traceback(tmp_path):
 def test_null_byte_file_reported_as_rpl000(tmp_path):
     bad = tmp_path / "nul.py"
     bad.write_bytes(b"x = 1\x00\n")
-    found = lint_file(str(bad))
+    found = lint([str(bad)])
     assert codes(found) == [PARSE_ERROR_CODE]
     assert lint_main([str(bad)]) == 1
-
-
-# -- the meta-test: this repo honours its own contracts ---------------------
-
-def test_src_repro_is_lint_clean():
-    violations = lint_paths([SRC_REPRO])
-    assert violations == [], "\n".join(v.format() for v in violations)
 
 
 # -- CLI --------------------------------------------------------------------
@@ -707,7 +687,7 @@ def test_cli_list_rules(capsys):
     out = capsys.readouterr().out
     for code in RULES_BY_CODE:
         assert code in out
-    # deep rules are part of the listing even without --deep
+    # the whole-program rules are listed alongside the file-local ones
     for code in ("RPL011", "RPL012", "RPL013", "RPL014"):
         assert code in out
 
@@ -730,15 +710,6 @@ def test_cli_select_prefix_and_ignore(tmp_path, capsys):
     assert lint_main([str(dirty), "--ignore", "RPL"]) == 0
     # unknown ignore selector is a usage error, same as --select
     assert lint_main([str(dirty), "--ignore", "XYZ"]) == 2
-
-
-def test_cli_deep_rule_selection_requires_deep_flag(tmp_path, capsys):
-    clean = tmp_path / "clean.py"
-    clean.write_text("x = 1\n")
-    assert lint_main([str(clean), "--select", "RPL011"]) == 2
-    err = capsys.readouterr().err
-    assert "--deep" in err
-    assert lint_main([str(clean), "--deep", "--select", "RPL011"]) == 0
 
 
 def test_cli_github_format(tmp_path, capsys):
@@ -774,44 +745,10 @@ def test_cli_baseline_suppresses_recorded_findings(tmp_path, capsys):
     assert "RPL002" in out and "RPL001" not in out
 
 
-def test_cli_ast_cache_roundtrip(tmp_path, capsys):
-    dirty = tmp_path / "dirty.py"
-    dirty.write_text("import time\nt = time.time()\n")
-    cache = str(tmp_path / "cache.pickle")
-    assert lint_main([str(dirty), "--ast-cache", cache]) == 1
-    assert os.path.exists(cache)
-    first = capsys.readouterr().out
-    # warm run reuses the parse and reports identically
-    assert lint_main([str(dirty), "--ast-cache", cache]) == 1
-    assert capsys.readouterr().out == first
-    # a corrupt cache degrades to re-parsing, never to a crash
-    with open(cache, "wb") as fh:
-        fh.write(b"not a pickle")
-    assert lint_main([str(dirty), "--ast-cache", cache]) == 1
-    assert capsys.readouterr().out == first
-    # an edit invalidates the stale entry
-    assert lint_main([str(dirty), "--ast-cache", cache]) == 1
-    capsys.readouterr()
-    dirty.write_text("x = 1\n")
-    assert lint_main([str(dirty), "--ast-cache", cache]) == 0
-
-
 def test_repro_cli_lint_subcommand(capsys):
     from repro.cli import main as repro_main
 
     assert repro_main(["lint", SRC_REPRO]) == 0
-    assert "clean" in capsys.readouterr().out
-
-
-def test_repro_cli_lint_deep_subcommand(capsys):
-    from repro.cli import main as repro_main
-
-    baseline = os.path.join(
-        os.path.dirname(__file__), "..", "lint-baseline.json"
-    )
-    assert repro_main([
-        "lint", SRC_REPRO, "--deep", "--baseline", baseline,
-    ]) == 0
     assert "clean" in capsys.readouterr().out
 
 
@@ -823,7 +760,7 @@ def test_cli_explain_shallow_rule(capsys):
 
 
 def test_cli_explain_deep_rule_without_deep_flag(capsys):
-    # deep rules are explainable without --deep; the docstring carries
+    # whole-program rules are explainable too; the docstring carries
     # the positive/negative example pair
     assert lint_main(["--explain", "rpl021"]) == 0
     out = capsys.readouterr().out
@@ -836,4 +773,4 @@ def test_cli_explain_unknown_code_exits_2(capsys):
     assert lint_main(["--explain", "RPL999"]) == 2
     err = capsys.readouterr().err
     assert "unknown rule code" in err
-    assert "RPL021" in err  # the known-codes list includes deep rules
+    assert "RPL021" in err  # the known-codes list includes every rule

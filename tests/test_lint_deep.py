@@ -1,55 +1,49 @@
-"""repro.lint.deep: the whole-program pass builds a faithful model of the
-tree (modules, MROs, call graph), each deep rule fires on a seeded
-mutation of the real engines, the pass is fast and byte-deterministic,
-and — the contract the subpackage exists for — src/repro itself is
-deep-clean."""
+"""repro.lint whole-program rules: the one pass builds a faithful model
+of the tree (modules, MROs, call graph), parses and walks each file once,
+each whole-program rule (RPL011-RPL024) fires on a seeded mutation of the
+real engines, the pass is fast and byte-deterministic, and — the
+contract the package exists for — src/repro itself is lint-clean."""
 
+import ast
 import json
 import os
 import re
-import shutil
 import subprocess
 import sys
 import textwrap
 import time
+from collections import Counter
 
-from repro.lint import lint_paths
-from repro.lint.deep import (
-    DEEP_RULES,
-    DEEP_RULES_BY_CODE,
-    build_program,
-    deep_lint_paths,
-)
-from repro.lint.deep.baseline import (
+from repro.lint import RULES, RULES_BY_CODE, iter_python_files, lint
+from repro.lint.baseline import (
     filter_baselined,
     fingerprint,
     load_baseline,
     write_baseline,
 )
-from repro.lint.deep.program import module_name_for
+from repro.lint.program import module_name_for
 from repro.lint.rules.base import Violation
-from repro.lint.source import SourceModule
 
-SRC_REPRO = os.path.join(os.path.dirname(__file__), "..", "src", "repro")
-REPO_SRC = os.path.abspath(os.path.join(SRC_REPRO, ".."))
-
-
-def rules(code):
-    return [DEEP_RULES_BY_CODE[code]]
-
-
-def codes(violations):
-    return [v.code for v in violations]
+from .lint_harness import (
+    REPO_SRC,
+    SRC_REPRO,
+    _mutated_tree,
+    _program_from,
+    codes,
+    rules,
+)
 
 
 # -- registry ---------------------------------------------------------------
 
 def test_deep_registry_covers_rpl011_through_rpl024():
-    assert sorted(DEEP_RULES_BY_CODE) == [
+    # one registry, RPL001-RPL024; the whole-program rules follow the
+    # file-local ones
+    assert sorted(RULES_BY_CODE) == [f"RPL{i:03d}" for i in range(1, 25)]
+    assert [rule.code for rule in RULES[10:]] == [
         f"RPL{i:03d}" for i in range(11, 25)
     ]
-    assert len(DEEP_RULES) == 14
-    for rule in DEEP_RULES:
+    for rule in RULES[10:]:
         assert rule.name and rule.rationale
 
 
@@ -62,18 +56,6 @@ def test_module_name_for_walks_packages():
     assert module_name_for(
         os.path.join(SRC_REPRO, "lint", "__init__.py")
     ) == "repro.lint"
-
-
-def _program_from(tmp_path, files):
-    sources = {}
-    for relpath, text in files.items():
-        path = tmp_path / relpath
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(textwrap.dedent(text))
-        sources[str(path)] = SourceModule.parse(
-            textwrap.dedent(text), path=str(path)
-        )
-    return build_program(sources)
 
 
 def test_mro_linearizes_mixin_diamonds(tmp_path):
@@ -140,7 +122,7 @@ def test_super_resolution_skips_past_the_defining_class(tmp_path):
     assert resolved.qualname == "pkg.base.Engine._load"
 
 
-# -- RPL011 on a fixture package (builtin model table fallback) -------------
+# -- RPL011 on a fixture package (installed model table fallback) -----------
 
 def test_rpl011_flags_undeclared_and_disallowed_primitives(tmp_path):
     program_dir = tmp_path / "eng"
@@ -187,7 +169,7 @@ def test_rpl011_flags_undeclared_and_disallowed_primitives(tmp_path):
             def _execute(self, cluster):
                 pass
         """))
-    found = deep_lint_paths([str(tmp_path)], rules=rules("RPL011"))
+    found = lint([str(tmp_path)], rules=rules("RPL011"))
     messages = {v.message for v in found}
     assert codes(found) == ["RPL011"] * 3
     # ToyEngine: shuffle reached two hops from run but not declared
@@ -224,7 +206,7 @@ def test_rpl015_flags_large_pool_arguments(tmp_path):
                     pool.submit(run_one, t.payload())
             """,
     })
-    found = deep_lint_paths([str(tmp_path)], rules=rules("RPL015"))
+    found = lint([str(tmp_path)], rules=rules("RPL015"))
     assert codes(found) == ["RPL015"]
     assert "'dataset' names a large object" in found[0].message
     # the by-name dispatch two lines down stays clean
@@ -249,7 +231,7 @@ def test_rpl015_sees_through_partial_and_lambda(tmp_path):
                 return t
             """,
     })
-    found = deep_lint_paths([str(tmp_path)], rules=rules("RPL015"))
+    found = lint([str(tmp_path)], rules=rules("RPL015"))
     assert codes(found) == ["RPL015", "RPL015"]
     assert any("'graph'" in v.message for v in found)
     assert any("'spec'" in v.message for v in found)
@@ -264,7 +246,7 @@ def test_rpl015_ignores_pools_outside_exec(tmp_path):
                     pool.submit(t, dataset)
             """,
     })
-    assert deep_lint_paths([str(tmp_path)], rules=rules("RPL015")) == []
+    assert lint([str(tmp_path)], rules=rules("RPL015")) == []
 
 
 def test_rpl016_flags_unmemoized_digest_in_loop(tmp_path):
@@ -288,7 +270,7 @@ def test_rpl016_flags_unmemoized_digest_in_loop(tmp_path):
                 return fingerprint(blob)
             """,
     })
-    found = deep_lint_paths([str(tmp_path)], rules=rules("RPL016"))
+    found = lint([str(tmp_path)], rules=rules("RPL016"))
     assert codes(found) == ["RPL016"]
     assert "fingerprint" in found[0].message
     assert "lru_cache" in found[0].message
@@ -319,7 +301,7 @@ def test_rpl016_memoized_digest_is_clean(tmp_path):
     })
     # memoized call sites and the streaming idiom (constructor outside
     # the loop, incremental update inside) are both sanctioned
-    assert deep_lint_paths([str(tmp_path)], rules=rules("RPL016")) == []
+    assert lint([str(tmp_path)], rules=rules("RPL016")) == []
 
 
 def test_rpl016_flags_direct_bulk_hash_in_loop(tmp_path):
@@ -342,7 +324,7 @@ def test_rpl016_flags_direct_bulk_hash_in_loop(tmp_path):
                 return out
             """,
     })
-    found = deep_lint_paths([str(tmp_path)], rules=rules("RPL016"))
+    found = lint([str(tmp_path)], rules=rules("RPL016"))
     assert codes(found) == ["RPL016"]
     assert found[0].line == 7
     assert "hoist or memoize" in found[0].message
@@ -374,7 +356,7 @@ def test_rpl017_flags_hot_loop_waste(tmp_path):
                 return log, opts, lat, model
         """
     _program_from(tmp_path, files)
-    found = deep_lint_paths([str(tmp_path)], rules=rules("RPL017"))
+    found = lint([str(tmp_path)], rules=rules("RPL017"))
     assert codes(found) == ["RPL017"] * 4
     messages = " ".join(v.message for v in found)
     assert "string +=" in messages
@@ -401,7 +383,7 @@ def test_rpl017_loop_dependent_work_is_clean(tmp_path):
     _program_from(tmp_path, files)
     # per-iteration values, loop-variable-rooted chains, and a fresh
     # accumulator are all legitimate — nothing is hoistable
-    assert deep_lint_paths([str(tmp_path)], rules=rules("RPL017")) == []
+    assert lint([str(tmp_path)], rules=rules("RPL017")) == []
 
 
 def test_rpl017_ignores_loops_outside_the_superstep_cone(tmp_path):
@@ -420,7 +402,7 @@ def test_rpl017_ignores_loops_outside_the_superstep_cone(tmp_path):
             return out
         """
     _program_from(tmp_path, files)
-    assert deep_lint_paths([str(tmp_path)], rules=rules("RPL017")) == []
+    assert lint([str(tmp_path)], rules=rules("RPL017")) == []
 
 
 _RPL018_COMMON = {
@@ -483,7 +465,7 @@ def test_rpl018_flags_missing_package_and_missing_key(tmp_path):
         },
     )
     _program_from(tmp_path, files)
-    found = deep_lint_paths([str(tmp_path)], rules=rules("RPL018"))
+    found = lint([str(tmp_path)], rules=rules("RPL018"))
     assert codes(found) == ["RPL018", "RPL018"]
     messages = " ".join(v.message for v in found)
     assert "'workloads'" in messages and "_RESULT_PACKAGES" in messages
@@ -501,7 +483,7 @@ def test_rpl018_complete_key_is_clean(tmp_path):
         },
     )
     _program_from(tmp_path, files)
-    assert deep_lint_paths([str(tmp_path)], rules=rules("RPL018")) == []
+    assert lint([str(tmp_path)], rules=rules("RPL018")) == []
 
 
 def test_rpl019_flags_parent_written_worker_read_state(tmp_path):
@@ -520,7 +502,7 @@ def test_rpl019_flags_parent_written_worker_read_state(tmp_path):
                 _MEMO[task] = value
             """,
     })
-    found = deep_lint_paths([str(tmp_path)], rules=rules("RPL019"))
+    found = lint([str(tmp_path)], rules=rules("RPL019"))
     assert codes(found) == ["RPL019"]
     assert "'_MEMO'" in found[0].message
     assert "outside the worker cone" in found[0].message
@@ -547,7 +529,7 @@ def test_rpl019_per_process_memo_is_clean(tmp_path):
     })
     # _LOCAL is filled and read inside the cone (re-derived per
     # process); _LIMITS is read-only everywhere — both are sound
-    assert deep_lint_paths([str(tmp_path)], rules=rules("RPL019")) == []
+    assert lint([str(tmp_path)], rules=rules("RPL019")) == []
 
 
 def test_rpl019_flags_worker_written_parent_read_state(tmp_path):
@@ -566,7 +548,7 @@ def test_rpl019_flags_worker_written_parent_read_state(tmp_path):
                 return list(_RESULTS)
             """,
     })
-    found = deep_lint_paths([str(tmp_path)], rules=rules("RPL019"))
+    found = lint([str(tmp_path)], rules=rules("RPL019"))
     assert codes(found) == ["RPL019"]
     assert "inside the worker cone" in found[0].message
     assert "pool future" in found[0].message
@@ -598,7 +580,7 @@ def test_rpl020_flags_unbounded_poll_loop(tmp_path):
                 host_sleep(0.1)
         """
     _program_from(tmp_path, files)
-    found = deep_lint_paths([str(tmp_path)], rules=rules("RPL020"))
+    found = lint([str(tmp_path)], rules=rules("RPL020"))
     # the data-dependent exit is the condition being waited for, not a
     # bound on the wait — the loop spins forever when ready() never comes
     assert codes(found) == ["RPL020"]
@@ -637,7 +619,7 @@ def test_rpl020_counter_deadline_and_condition_bounds_are_clean(tmp_path):
     _program_from(tmp_path, files)
     # attempt counter, host-clock deadline, and a non-constant loop test
     # are the three sanctioned bounds
-    assert deep_lint_paths([str(tmp_path)], rules=rules("RPL020")) == []
+    assert lint([str(tmp_path)], rules=rules("RPL020")) == []
 
 
 def test_rpl020_follows_same_module_calls_only(tmp_path):
@@ -664,7 +646,7 @@ def test_rpl020_follows_same_module_calls_only(tmp_path):
                 backoff(1)
         """
     _program_from(tmp_path, files)
-    found = deep_lint_paths([str(tmp_path)], rules=rules("RPL020"))
+    found = lint([str(tmp_path)], rules=rules("RPL020"))
     # spin sleeps through a same-module helper and is charged for it;
     # dispatch merely enters another module's machinery, which owns its
     # own bounds — one finding, on local.py
@@ -674,15 +656,6 @@ def test_rpl020_follows_same_module_calls_only(tmp_path):
 
 
 # -- seeded mutations of the real tree: each rule fires ---------------------
-
-def _mutated_tree(tmp_path, relpath, mutate):
-    """Copy src/repro and apply ``mutate`` to one file's text."""
-    root = tmp_path / "repro"
-    shutil.copytree(SRC_REPRO, root)
-    target = root / relpath
-    target.write_text(mutate(target.read_text()))
-    return str(tmp_path)
-
 
 def test_rpl011_mutation_forbidden_primitive(tmp_path):
     tree = _mutated_tree(
@@ -694,7 +667,7 @@ def test_rpl011_mutation_forbidden_primitive(tmp_path):
             1,
         ),
     )
-    found = deep_lint_paths([tree], rules=rules("RPL011"))
+    found = lint([tree], rules=rules("RPL011"))
     assert codes(found) == ["RPL011"]
     assert "cluster.broadcast()" in found[0].message
     assert "GiraphEngine" in found[0].message
@@ -721,7 +694,7 @@ def test_rpl012_mutation_unordered_iteration_leak(tmp_path):
     tree = _mutated_tree(
         tmp_path, os.path.join("engines", "gelly.py"), mutate
     )
-    found = deep_lint_paths([tree], rules=rules("RPL012"))
+    found = lint([tree], rules=rules("RPL012"))
     assert codes(found) == ["RPL012"]
     assert "set literal" in found[0].message
 
@@ -737,7 +710,7 @@ def test_rpl013_mutation_unwrapped_tracker_record(tmp_path):
             1,
         ),
     )
-    found = deep_lint_paths([tree], rules=rules("RPL013"))
+    found = lint([tree], rules=rules("RPL013"))
     assert codes(found) == ["RPL013"]
     assert "record_disk" in found[0].message
     assert "span" in found[0].message
@@ -756,7 +729,7 @@ def test_rpl013_mutation_unspanned_memory_integral(tmp_path):
             1,
         ),
     )
-    found = deep_lint_paths([tree], rules=rules("RPL013"))
+    found = lint([tree], rules=rules("RPL013"))
     assert codes(found) == ["RPL013"]
     assert "record_memory_integral" in found[0].message
 
@@ -775,7 +748,7 @@ def test_rpl013_memory_integral_inside_span_is_clean(tmp_path):
             1,
         ),
     )
-    assert deep_lint_paths([tree], rules=rules("RPL013")) == []
+    assert lint([tree], rules=rules("RPL013")) == []
 
 
 def test_rpl014_mutation_stray_broad_except(tmp_path):
@@ -793,7 +766,7 @@ def test_rpl014_mutation_stray_broad_except(tmp_path):
     tree = _mutated_tree(
         tmp_path, os.path.join("engines", "spark.py"), mutate
     )
-    found = deep_lint_paths([tree], rules=rules("RPL014"))
+    found = lint([tree], rules=rules("RPL014"))
     assert codes(found) == ["RPL014"]
     assert "broad except" in found[0].message
     assert "fault" in found[0].message
@@ -810,7 +783,7 @@ def test_rpl015_mutation_dataset_pickled_into_pool_task(tmp_path):
             1,
         ),
     )
-    found = deep_lint_paths([tree], rules=rules("RPL015"))
+    found = lint([tree], rules=rules("RPL015"))
     assert codes(found) == ["RPL015"]
     assert "datasets" in found[0].message
     assert "pickles" in found[0].message
@@ -826,7 +799,7 @@ def test_rpl016_mutation_unmemoized_dataset_fingerprint(tmp_path):
             1,
         ),
     )
-    found = deep_lint_paths([tree], rules=rules("RPL016"))
+    found = lint([tree], rules=rules("RPL016"))
     assert codes(found) == ["RPL016", "RPL016"]
     # the findings land on the planner's per-cell key loop and on the
     # serve daemon's scheduler loop, which reaches the same digest
@@ -847,7 +820,7 @@ def test_rpl017_mutation_getattr_back_in_superstep_loop(tmp_path):
             1,
         ),
     )
-    found = deep_lint_paths([tree], rules=rules("RPL017"))
+    found = lint([tree], rules=rules("RPL017"))
     assert codes(found) == ["RPL017"]
     assert "trace_model" in found[0].message
     assert found[0].path.endswith("bsp.py")
@@ -859,7 +832,7 @@ def test_rpl018_mutation_dropped_result_package(tmp_path):
         os.path.join("exec", "cache.py"),
         lambda s: s.replace('"partitioning", "workloads",', '"partitioning",', 1),
     )
-    found = deep_lint_paths([tree], rules=rules("RPL018"))
+    found = lint([tree], rules=rules("RPL018"))
     assert codes(found) == ["RPL018"]
     assert "'workloads'" in found[0].message
     assert "_RESULT_PACKAGES" in found[0].message
@@ -875,7 +848,7 @@ def test_rpl018_mutation_dropped_chaos_key(tmp_path):
             1,
         ),
     )
-    found = deep_lint_paths([tree], rules=rules("RPL018"))
+    found = lint([tree], rules=rules("RPL018"))
     assert codes(found) == ["RPL018"]
     assert "'chaos'" in found[0].message
     assert "stale" in found[0].message
@@ -897,7 +870,7 @@ def test_rpl019_mutation_parent_primed_dataset_memo(tmp_path):
         )
 
     tree = _mutated_tree(tmp_path, os.path.join("exec", "workers.py"), mutate)
-    found = deep_lint_paths([tree], rules=rules("RPL019"))
+    found = lint([tree], rules=rules("RPL019"))
     assert codes(found) == ["RPL019"]
     assert "'_WARM_DATASETS'" in found[0].message
     assert "worker processes never see" in found[0].message.lower()
@@ -911,7 +884,7 @@ def test_rpl020_mutation_unbounding_the_submit_backoff(tmp_path):
         os.path.join("serve", "client.py"),
         lambda s: s.replace("if rejections >= retries:", "if False:", 1),
     )
-    found = deep_lint_paths([tree], rules=rules("RPL020"))
+    found = lint([tree], rules=rules("RPL020"))
     assert codes(found) == ["RPL020"]
     assert found[0].path.endswith("client.py")
     assert "submit" in found[0].message
@@ -945,7 +918,7 @@ def test_rpl021_flags_field_guarded_on_one_root_bare_on_another(tmp_path):
                     return self.jobs_done
         """
     _program_from(tmp_path, files)
-    found = deep_lint_paths([str(tmp_path)], rules=rules("RPL021"))
+    found = lint([str(tmp_path)], rules=rules("RPL021"))
     assert codes(found) == ["RPL021"]
     assert "'Daemon.jobs_done'" in found[0].message
     assert "cond" in found[0].message
@@ -975,7 +948,7 @@ def test_rpl021_sanctions_the_lock_held_everywhere(tmp_path):
                     return self.jobs_done
         """
     _program_from(tmp_path, files)
-    assert deep_lint_paths([str(tmp_path)], rules=rules("RPL021")) == []
+    assert lint([str(tmp_path)], rules=rules("RPL021")) == []
 
 
 def test_rpl021_mutation_unlocking_the_payload_publisher(tmp_path):
@@ -991,7 +964,7 @@ def test_rpl021_mutation_unlocking_the_payload_publisher(tmp_path):
             1,
         ),
     )
-    found = deep_lint_paths([tree], rules=rules("RPL021"))
+    found = lint([tree], rules=rules("RPL021"))
     assert "RPL021" in codes(found)
     assert any("'Job.payloads'" in v.message for v in found)
 
@@ -1018,7 +991,7 @@ def test_rpl022_flags_sleep_inside_the_critical_section(tmp_path):
                     time.sleep(0.05)
         """
     _program_from(tmp_path, files)
-    found = deep_lint_paths([str(tmp_path)], rules=rules("RPL022"))
+    found = lint([str(tmp_path)], rules=rules("RPL022"))
     assert codes(found) == ["RPL022"]
     assert ".sleep()" in found[0].message
 
@@ -1044,7 +1017,7 @@ def test_rpl022_sanctions_blocking_outside_the_lock(tmp_path):
                 time.sleep(0.05)
         """
     _program_from(tmp_path, files)
-    assert deep_lint_paths([str(tmp_path)], rules=rules("RPL022")) == []
+    assert lint([str(tmp_path)], rules=rules("RPL022")) == []
 
 
 def test_rpl022_flags_opposite_lock_orders(tmp_path):
@@ -1073,7 +1046,7 @@ def test_rpl022_flags_opposite_lock_orders(tmp_path):
                         pass
         """
     _program_from(tmp_path, files)
-    found = deep_lint_paths([str(tmp_path)], rules=rules("RPL022"))
+    found = lint([str(tmp_path)], rules=rules("RPL022"))
     assert codes(found) == ["RPL022"]
     assert "lock-order cycle" in found[0].message
 
@@ -1095,7 +1068,7 @@ def test_rpl022_mutation_joining_the_scheduler_under_the_lock(tmp_path):
             1,
         ),
     )
-    found = deep_lint_paths([tree], rules=rules("RPL022"))
+    found = lint([tree], rules=rules("RPL022"))
     assert "RPL022" in codes(found)
     assert any(".join()" in v.message for v in found)
 
@@ -1126,7 +1099,7 @@ def test_rpl023_flags_wait_outside_while_and_bare_notify(tmp_path):
                 self.cond.notify_all()
         """
     _program_from(tmp_path, files)
-    found = deep_lint_paths([str(tmp_path)], rules=rules("RPL023"))
+    found = lint([str(tmp_path)], rules=rules("RPL023"))
     assert codes(found) == ["RPL023", "RPL023"]
     messages = " ".join(v.message for v in found)
     assert "while-predicate" in messages
@@ -1158,7 +1131,7 @@ def test_rpl023_sanctions_the_canonical_wait_loop(tmp_path):
                     self.cond.notify_all()
         """
     _program_from(tmp_path, files)
-    assert deep_lint_paths([str(tmp_path)], rules=rules("RPL023")) == []
+    assert lint([str(tmp_path)], rules=rules("RPL023")) == []
 
 
 def test_rpl023_mutation_degrading_the_scheduler_wait_loop(tmp_path):
@@ -1173,7 +1146,7 @@ def test_rpl023_mutation_degrading_the_scheduler_wait_loop(tmp_path):
             1,
         ),
     )
-    found = deep_lint_paths([tree], rules=rules("RPL023"))
+    found = lint([tree], rules=rules("RPL023"))
     assert codes(found) == ["RPL023"]
     assert "while-predicate" in found[0].message
 
@@ -1202,7 +1175,7 @@ def test_rpl024_flags_cross_thread_global_with_no_lock(tmp_path):
                 return len(_SEEN)
         """
     _program_from(tmp_path, files)
-    found = deep_lint_paths([str(tmp_path)], rules=rules("RPL024"))
+    found = lint([str(tmp_path)], rules=rules("RPL024"))
     assert codes(found) == ["RPL024"]
     assert "'_SEEN'" in found[0].message
 
@@ -1232,7 +1205,7 @@ def test_rpl024_sanctions_globals_guarded_everywhere(tmp_path):
                     return len(_SEEN)
         """
     _program_from(tmp_path, files)
-    assert deep_lint_paths([str(tmp_path)], rules=rules("RPL024")) == []
+    assert lint([str(tmp_path)], rules=rules("RPL024")) == []
 
 
 def test_rpl024_mutation_smuggling_state_through_a_module_dict(tmp_path):
@@ -1253,22 +1226,95 @@ def test_rpl024_mutation_smuggling_state_through_a_module_dict(tmp_path):
         )
 
     tree = _mutated_tree(tmp_path, os.path.join("serve", "daemon.py"), mutate)
-    found = deep_lint_paths([tree], rules=rules("RPL024"))
+    found = lint([tree], rules=rules("RPL024"))
     assert codes(found) == ["RPL024"]
     assert "'_LAST_SEEN'" in found[0].message
     assert "no lock ever held" in found[0].message
 
 
-# -- the meta-test: the tree honours its own deep contracts -----------------
+# -- the meta-test: the tree honours its own contracts ----------------------
 
 def test_src_repro_is_deep_clean_and_fast():
     """src/repro is clean under every rule, RPL001-RPL024, in budget."""
     start = time.perf_counter()
-    violations = lint_paths([SRC_REPRO])
-    violations += deep_lint_paths([SRC_REPRO])
+    violations = lint([SRC_REPRO])
     elapsed = time.perf_counter() - start
     assert violations == [], "\n".join(v.format() for v in violations)
     assert elapsed < 15.0, f"full pass took {elapsed:.1f}s (budget: 15s)"
+
+
+def test_one_parse_and_one_walk_per_file(monkeypatch):
+    """Each file is parsed once and its tree walked at most once; every
+    rule and helper queries the parse-time node index instead."""
+    parses, walks = [], []
+    real_parse, real_walk = ast.parse, ast.walk
+
+    def counting_parse(source, filename="<unknown>", *args, **kwargs):
+        parses.append(filename)
+        return real_parse(source, filename, *args, **kwargs)
+
+    def counting_walk(node):
+        walks.append(node)
+        return real_walk(node)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    monkeypatch.setattr(ast, "walk", counting_walk)
+    files = iter_python_files([SRC_REPRO])
+    assert lint(files) == []
+    per_file = Counter(parses)
+    # RPL021-RPL024 read quoted annotations ("ServeDaemon") by parsing
+    # the string as an expression; that snippet is not a file
+    per_file.pop("<annotation>", None)
+    assert per_file == Counter(files)
+    assert len(walks) <= len(files)
+
+
+def test_broken_file_is_reported_beside_whole_program_findings(tmp_path):
+    tree = _mutated_tree(
+        tmp_path,
+        os.path.join("engines", "giraph.py"),
+        lambda s: s.replace(
+            "cluster.sample_memory()",
+            "cluster.broadcast(1.0)\n        cluster.sample_memory()",
+            1,
+        ),
+    )
+    (tmp_path / "repro" / "broken.py").write_text("def broken(:\n")
+    found = lint([tree])
+    assert [(v.code, os.path.basename(v.path)) for v in found] == [
+        ("RPL000", "broken.py"),
+        ("RPL011", "giraph.py"),
+    ]
+    assert "cluster.broadcast()" in found[1].message
+
+
+def test_same_named_files_outside_packages_are_all_checked(tmp_path):
+    # both files are module "fixture" to the program model; the
+    # file-local rules must still see each of them
+    for folder in ("a", "b"):
+        (tmp_path / folder).mkdir()
+        (tmp_path / folder / "fixture.py").write_text(
+            "import time\nt = time.time()\n"
+        )
+    found = lint([str(tmp_path)], rules=rules("RPL001"))
+    assert [os.path.basename(os.path.dirname(v.path)) for v in found] == [
+        "a", "b",
+    ]
+
+
+def test_model_table_falls_back_to_the_installed_engines_base(tmp_path):
+    from repro.engines.base import MODEL_PRIMITIVES
+    from repro.lint.rules.base import model_primitive_table
+
+    program = _program_from(tmp_path, {
+        "eng/__init__.py": "",
+        "eng/toy.py": """
+            class ToyEngine:
+                trace_model = "bsp"
+            """,
+    })
+    assert not any(name.endswith("engines.base") for name in program.modules)
+    assert model_primitive_table(program) == dict(MODEL_PRIMITIVES)
 
 
 def test_committed_baseline_is_empty():
@@ -1281,7 +1327,7 @@ def test_deep_report_is_byte_identical_across_hash_seeds(tmp_path):
     for seed in ("1", "4242"):
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=REPO_SRC)
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.lint", "--deep",
+            [sys.executable, "-m", "repro.lint",
              "--format", "json", SRC_REPRO],
             capture_output=True,
             env=env,
@@ -1341,7 +1387,7 @@ def test_noqa_line_covered_by_shallow_and_deep_rule(tmp_path):
     from repro.lint.cli import main as lint_main
 
     target.write_text(body.replace("<NOQA>", ""))
-    args = [str(tmp_path), "--deep", "--select", "RPL008,RPL012",
+    args = [str(tmp_path), "--select", "RPL008,RPL012",
             "--format", "json"]
     import io
     from contextlib import redirect_stdout
@@ -1360,7 +1406,8 @@ def test_noqa_line_covered_by_shallow_and_deep_rule(tmp_path):
     with redirect_stdout(buf):
         assert lint_main(args) == 0
 
-    # suppressing only the shallow code leaves the deep finding alive
+    # suppressing only the file-local code leaves the whole-program
+    # finding alive
     target.write_text(body.replace("<NOQA>", "  # noqa: RPL008"))
     buf = io.StringIO()
     with redirect_stdout(buf):

@@ -21,6 +21,7 @@ import pytest
 from repro.cli import main
 from repro.core import run_cell
 from repro.engines.base import RunResult
+from repro.lint.program import build_program
 from repro.lint.rules.rpl001_wallclock import WallClockRule
 from repro.lint.source import SourceModule
 from repro.obs import (
@@ -344,12 +345,12 @@ class TestWallClockAllowlist:
         module = SourceModule.parse(
             self.CALL, path="src/repro/obs/hostclock.py"
         )
-        assert list(WallClockRule().check(module)) == []
+        assert list(WallClockRule().check(build_program([module]))) == []
 
     def test_other_files_still_flagged(self):
         module = SourceModule.parse(
             self.CALL, path="src/repro/cluster/cluster.py"
         )
-        violations = list(WallClockRule().check(module))
+        violations = list(WallClockRule().check(build_program([module])))
         assert len(violations) == 1
         assert violations[0].code == "RPL001"
