@@ -841,7 +841,9 @@ def _cmd_serve(args) -> int:
     try:
         daemon.serve_forever()
     except KeyboardInterrupt:
-        daemon.stop()
+        pass  # the loop wound down and wrote its journal on the way out
+    finally:
+        daemon.stop()  # releases the wake-up socket
     if daemon.journal_path is not None:
         print(f"server journal written to {daemon.journal_path}")
     return 0

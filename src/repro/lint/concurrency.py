@@ -1,15 +1,15 @@
 """Thread roots, lock discovery, and interprocedural lockset analysis.
 
-The serving stack's correctness rests on a hand-maintained locking
-discipline: socketserver handler threads, one scheduler thread, and the
-main thread all share the daemon's registry, queue, and stats through a
-single :class:`threading.Condition`. This module gives the concurrency
-rules (RPL021-RPL024) the machinery to machine-check that discipline,
+Threads in the serving stack may share state only under a consistent
+locking discipline. Today the daemon shares nothing: one event loop
+owns all its state, on the thread that calls ``serve_forever`` or on
+the one thread ``start()`` runs it on. This module gives the
+concurrency rules (RPL021-RPL024) the machinery to machine-check that,
 Eraser-style:
 
 * **thread roots** — the entry points concurrency can start from:
   ``handle`` methods of socketserver handler classes plus every
-  ``_op_*`` protocol method (the daemon dispatches them via
+  ``_op_*`` protocol method (the name-dispatch convention, via
   ``getattr``, which no call graph resolves), the resolved ``target=``
   of every ``threading.Thread(...)`` call, and the public surface of
   any thread-spawning class standing in for the main thread;

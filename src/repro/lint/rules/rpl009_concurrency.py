@@ -8,7 +8,7 @@ belongs to the layers *around* the model — the experiment executor in
 ``repro/exec/``, which fans out whole independent cells and proves
 bit-equivalence with the sequential path, and the serving layer in
 ``repro/serve/``, which funnels every concurrent client through one
-scheduler thread into that same executor. Mirroring RPL001's
+event loop into that same executor. Mirroring RPL001's
 single-wall-clock-door pattern, every import of ``threading``,
 ``multiprocessing``, or ``concurrent.futures`` outside those packages
 is a violation, so the repo's entire concurrency surface stays

@@ -1,14 +1,13 @@
 """RPL021 — guarded-field discipline: one field, one lock, every thread.
 
-The serving stack shares its job registry, queue, and stats between
-socketserver handler threads, the scheduler thread, and the main
-thread, all serialized by one ``threading.Condition``. Eraser's
-insight applies directly: for each shared field, the *candidate lock
-set* is the intersection of the locks held across all its accesses.
-If some accesses hold the daemon's condition and others hold nothing,
+State that two threads share must be serialized by one lock held at
+every access. Eraser's insight applies directly: for each shared field,
+the *candidate lock set* is the intersection of the locks held across
+all its accesses. If some accesses hold a lock and others hold nothing,
 the intersection is empty and the unguarded side is a data race — a
-handler can observe a half-updated job, or the journal can read stats
-mid-update.
+reader can observe a half-updated job, or a journal can read stats
+mid-update. (The serve daemon avoids the question by construction: one
+event loop owns all of its state, so no field of it is shared.)
 
 The discipline: any mutable instance field of a serve/exec class that
 is written and reached from two different thread roots (or from a

@@ -1,8 +1,8 @@
 """RPL022 — no blocking under a lock, and the lock graph stays acyclic.
 
-A critical section is a promise to be quick: every handler thread that
-wants the daemon's condition queues up behind it. Blocking while the
-lock is held — socket send/recv, ``host_sleep``, file/journal I/O,
+A critical section is a promise to be quick: every thread that wants
+the lock queues up behind it. Blocking while the lock is held — socket
+send/recv, ``host_sleep``, file/journal I/O,
 ``pool.submit``/``future.result()``, ``Thread.join`` — turns one slow
 client or one slow disk into a stall of the whole serving stack, and a
 ``join`` on a thread that itself needs the lock is a textbook

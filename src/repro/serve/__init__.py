@@ -1,13 +1,14 @@
 """repro.serve: the benchmark-as-a-service layer over the grid executor.
 
 One long-lived daemon (``repro serve``) accepts typed experiment
-submissions from many concurrent clients over a local socket, orders
-them with weighted fair queueing under strict priority classes, bounds
-its backlog with admission control, and executes everything through the
-ordinary :mod:`repro.exec` executor against one shared warm dataset +
-result-cache pool — so a served grid is bit-equal to the one-shot
-``repro grid`` run the client would have computed alone, and
-overlapping submissions pay for each distinct cell once.
+submissions from many concurrent clients over a local socket, on one
+event loop that owns every piece of serving state (so nothing is
+locked), orders them with weighted fair queueing under strict priority
+classes, bounds its backlog with admission control, and executes
+everything through the ordinary :mod:`repro.exec` executor against one
+shared warm dataset + result-cache pool — so a served grid is bit-equal
+to the one-shot ``repro grid`` run the client would have computed
+alone, and overlapping submissions pay for each distinct cell once.
 
 The package splits along the protocol/policy/mechanism seams:
 
@@ -17,8 +18,8 @@ The package splits along the protocol/policy/mechanism seams:
   queueing, priorities, admission control;
 * :mod:`~repro.serve.scheduler` — :class:`JobRunner`: the bridge into
   ``execute_specs`` and the shared cache;
-* :mod:`~repro.serve.daemon` — :class:`ServeDaemon`: sockets, the
-  single scheduler thread, ``_server.jsonl``;
+* :mod:`~repro.serve.daemon` — :class:`ServeDaemon`: the ``selectors``
+  loop over sockets, queue and runner, ``_server.jsonl``;
 * :mod:`~repro.serve.client` — :class:`ServeClient`: backoff on
   rejection, resumable result streams, grid reconstruction;
 * :mod:`~repro.serve.stats` — latency percentiles, hit-rate, and the
@@ -46,7 +47,7 @@ from .protocol import (
     ProtocolError,
 )
 from .queue import FairQueue
-from .scheduler import JobInterrupted, JobOutcome, JobRunner
+from .scheduler import JobInterrupted, JobRunner
 from .stats import ServerStats, percentile, server_observation
 
 __all__ = [
@@ -61,7 +62,6 @@ __all__ = [
     "JOB_CANCELLED",
     "FairQueue",
     "JobInterrupted",
-    "JobOutcome",
     "JobRunner",
     "ServeDaemon",
     "DEFAULT_SOCKET",

@@ -33,12 +33,7 @@ from ..core.runner import ResultGrid
 from ..exec.serialize import payload_to_result
 from ..obs.hostclock import host_now, host_sleep
 from .daemon import parse_address
-from .protocol import (
-    JOB_FAILED,
-    JobRequest,
-    recv_message,
-    send_message,
-)
+from .protocol import JOB_FAILED, JobRequest, dumps_message, recv_message
 
 __all__ = [
     "ServeError", "QueueFullError", "ServeClient", "grid_from_payloads",
@@ -93,13 +88,12 @@ class ServeClient:
             host, port = target
             self._sock = socket.create_connection((host, port), timeout=timeout)
         self._rfile = self._sock.makefile("rb")
-        self._wfile = self._sock.makefile("wb")
 
     # -- plumbing -----------------------------------------------------------
 
     def call(self, message: dict) -> dict:
         """One request/response round trip (raw frames)."""
-        send_message(self._wfile, message)
+        self._sock.sendall(dumps_message(message))
         response = recv_message(self._rfile)
         if response is None:
             raise ServeError("disconnected", "daemon closed the connection")
@@ -115,11 +109,10 @@ class ServeClient:
         return response
 
     def close(self) -> None:
-        for stream in (self._rfile, self._wfile):
-            try:
-                stream.close()
-            except OSError:
-                pass
+        try:
+            self._rfile.close()
+        except OSError:
+            pass
         self._sock.close()
 
     def __enter__(self) -> "ServeClient":
@@ -243,10 +236,3 @@ class ServeClient:
                        timeout: Optional[float] = None) -> List[dict]:
         """The complete payload stream, blocking until the job is done."""
         return list(self.stream_payloads(job_id, after=after, timeout=timeout))
-
-    def fetch_grid(self, job_id: str,
-                   payloads: Optional[List[dict]] = None) -> ResultGrid:
-        """The finished job as a result grid (fetches if not given)."""
-        if payloads is None:
-            payloads = self.fetch_payloads(job_id)
-        return grid_from_payloads(payloads)

@@ -2,11 +2,12 @@
 
 ``repro serve`` starts a long-lived process that accepts experiment
 submissions over a local stream socket (a unix path, or ``host:port``
-on loopback for environments without ``AF_UNIX``). Connections are
-handled by a thread per client, but *all* execution funnels through a
-single scheduler thread holding one :class:`~repro.serve.queue.FairQueue`
-and one :class:`~repro.serve.scheduler.JobRunner` — so the shared cache
-is raced by nobody, the service order is exactly the queue's
+on loopback for environments without ``AF_UNIX``). One ``selectors``
+event loop owns everything — the listening socket, each connection's
+read and write buffers, the :class:`~repro.serve.queue.FairQueue`, the
+job registry, the :class:`~repro.serve.stats.ServerStats` and the
+:class:`~repro.serve.scheduler.JobRunner` — so no state is shared and
+nothing is locked. The service order is exactly the queue's
 deterministic policy, and a served grid is bit-equal to the one-shot
 ``repro grid`` a client would have run alone.
 
@@ -17,47 +18,52 @@ Lifecycle of a submission::
         │  or shed lower-priority queued work)      │
         └── cancel / deadline / shed ──▶ cancelled ─┘──▶ failed
 
-Cancellation is cooperative all the way: a queued job flips in place,
-a *running* job gets ``cancel_requested`` set and stops at its next
-cell boundary (the scheduler polls the flag — and the job's deadline —
-from the executor's progress hook), keeping its completed payload
-prefix streamable. Deadlines are host-seconds budgets from submission;
-an expired job is cancelled before start or at the next boundary.
+Cells run inline on the loop. After each cell the runner *pumps* the
+loop — a zero-timeout ``select`` that answers ready requests but never
+starts a job — so ``cancel``, a passed deadline and ``shutdown`` stop a
+running job at its next cell boundary, its completed payload prefix
+still streamable. A ``wait`` parks its connection until the job is
+terminal (answered at once, before the next job is taken) or its
+timeout passes. Replies leave each connection in request order, and a
+connection with an unsent reply is not read, so a client that never
+reads cannot grow the daemon's buffers.
 
 Two ways down. ``shutdown`` (or :meth:`ServeDaemon.stop`) drains
-nothing: queued jobs stay queued until served or the process exits.
-``drain`` stops admissions (submissions answer ``draining``), lets the
-running job and the whole queue finish, then shuts the daemon down
-cleanly. Either way the daemon writes its own journal —
+nothing: the running job stops at its next boundary and queued jobs
+fail with a clean error. ``drain`` stops admissions (submissions answer
+``draining``), lets the running job and the whole queue finish, then
+shuts the daemon down. Either way the daemon writes its own journal —
 ``_server.jsonl`` with meta ``kind="server"``, per-job spans,
 queue-wait/service/latency histograms, and the sheds / deadline-expiry
-/ cache-eviction counters — before returning, so every serving session
-leaves the same evidence trail a grid run does.
+/ cache-eviction counters — before returning.
 """
 
 from __future__ import annotations
 
-import socketserver
+import selectors
+import socket
 import threading
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..obs import Tracer
 from ..obs.hostclock import host_now
 from .protocol import (
+    DEADLINE_EXCEEDED,
     JOB_CANCELLED,
     JOB_FAILED,
     JOB_QUEUED,
     JOB_RUNNING,
-    OPS,
+    MAX_LINE_BYTES,
     PROTOCOL_VERSION,
     Job,
     JobRequest,
     ProtocolError,
+    dumps_message,
     error_response,
     ok_response,
-    recv_message,
-    send_message,
+    parse_frame,
+    wait_timeout,
 )
 from .queue import FairQueue
 from .scheduler import JobRunner
@@ -68,8 +74,8 @@ __all__ = ["ServeDaemon", "parse_address", "DEFAULT_SOCKET"]
 #: the CLI's default rendezvous point, relative to the working directory
 DEFAULT_SOCKET = ".repro-serve.sock"
 
-#: how long the scheduler dozes between wake-up checks when idle
-_IDLE_WAIT = 0.2
+#: bytes asked of one ready client socket per read
+_RECV_BYTES = 256 * 1024
 
 
 def parse_address(text: str) -> Tuple[str, object]:
@@ -88,47 +94,22 @@ def parse_address(text: str) -> Tuple[str, object]:
         return ("unix", text)
 
 
-class _Handler(socketserver.StreamRequestHandler):
-    """One connected client: a request/response loop until EOF."""
+class _Conn:
+    """One client connection: buffered frames in, buffered replies out."""
 
-    def handle(self) -> None:
-        daemon: "ServeDaemon" = self.server.serve_daemon  # type: ignore[attr-defined]
-        while True:
-            try:
-                message = recv_message(self.rfile)
-            except ProtocolError as exc:
-                # the stream may be desynchronized: answer once, hang up
-                send_message(self.wfile, error_response("protocol", str(exc)))
-                return
-            if message is None:
-                return
-            try:
-                response = daemon.dispatch(message)
-            except ProtocolError as exc:
-                response = error_response("protocol", str(exc))
-            try:
-                send_message(self.wfile, response)
-            except (BrokenPipeError, ConnectionResetError):
-                return
-            if message.get("op") == "shutdown" and response.get("ok"):
-                return
-
-
-class _TcpServer(socketserver.ThreadingMixIn, socketserver.TCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-
-
-if hasattr(socketserver, "UnixStreamServer"):
-    class _UnixServer(socketserver.ThreadingMixIn,
-                      socketserver.UnixStreamServer):
-        daemon_threads = True
-else:  # pragma: no cover - platforms without AF_UNIX
-    _UnixServer = None  # type: ignore[assignment,misc]
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.rbuf = bytearray()
+        self.scanned = 0  # bytes of rbuf already searched for a newline
+        self.wbuf = bytearray()
+        #: a ``wait`` held until its job is terminal: (job, host deadline)
+        self.parked: Optional[Tuple[Job, float]] = None
+        self.closing = False  # hang up once wbuf is sent
+        self.closed = False
 
 
 class ServeDaemon:
-    """The serving process: socket front, fair queue, one executor thread."""
+    """The serving process: one event loop over sockets, queue and runner."""
 
     def __init__(
         self,
@@ -150,319 +131,286 @@ class ServeDaemon:
         self.queue = FairQueue(max_cells=max_queue_cells)
         #: host-seconds budget stamped on jobs that carry none of their own
         self.default_deadline = default_deadline
-        #: one lock for queue + registry + stats; scheduler waits on it
-        self.cond = threading.Condition()
         self.jobs: Dict[str, Job] = {}
         self._seq = 0
         self._stopping = False
         self._draining = False
-        self._scheduler: Optional[threading.Thread] = None
-        self._server_thread: Optional[threading.Thread] = None
+        self._conns: List[_Conn] = []
 
         kind, target = parse_address(address)
-        if kind == "unix":
-            if _UnixServer is None:  # pragma: no cover
-                raise OSError("AF_UNIX is unavailable; use host:port")
-            path = Path(target)
-            if path.exists():
-                path.unlink()
-            self.server = _UnixServer(str(target), _Handler)
+        self._socket_path = Path(str(target)) if kind == "unix" else None
+        if self._socket_path is not None:
+            if self._socket_path.exists():
+                self._socket_path.unlink()
+            self._listener = socket.create_server(
+                str(target), family=socket.AF_UNIX)
             self.address = str(target)
-            self._socket_path: Optional[Path] = path
         else:
-            self.server = _TcpServer(tuple(target), _Handler)
-            host, port = self.server.server_address[:2]
+            self._listener = socket.create_server(target)  # type: ignore[arg-type]
+            host, port = self._listener.getsockname()[:2]
             self.address = f"{host}:{port}"
-            self._socket_path = None
-        self.server.serve_daemon = self  # type: ignore[attr-defined]
+        # stop() writes one byte to _wake_w; the loop watches _wake_r
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._selector = selectors.DefaultSelector()
+        for sock in (self._listener, self._wake_r, self._wake_w):
+            sock.setblocking(False)
+        for sock in (self._listener, self._wake_r):
+            self._selector.register(sock, selectors.EVENT_READ)
+        self._thread: Optional[threading.Thread] = None
 
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> "ServeDaemon":
-        """Run the socket loop and scheduler in background threads."""
-        self._scheduler = threading.Thread(
-            target=self._scheduler_loop, name="serve-scheduler", daemon=True
+        """Run the loop on one background thread (for in-process callers)."""
+        self._thread = threading.Thread(
+            target=self.serve_forever, name="serve-loop", daemon=True
         )
-        self._scheduler.start()
-        self._server_thread = threading.Thread(
-            target=self.server.serve_forever, name="serve-socket", daemon=True
-        )
-        self._server_thread.start()
+        self._thread.start()
         return self
 
     def serve_forever(self) -> None:
-        """Run until a ``shutdown`` op arrives (the ``repro serve`` path)."""
-        self._scheduler = threading.Thread(
-            target=self._scheduler_loop, name="serve-scheduler", daemon=True
-        )
-        self._scheduler.start()
+        """Run the loop on this thread until shutdown, drain or stop().
+
+        The ``repro serve`` path, which starts no thread. The journal is
+        written and every socket closed before this returns.
+        """
         try:
-            self.server.serve_forever()
+            while not self._stopping:
+                if len(self.queue) == 0:
+                    if self._draining:
+                        break  # admissions closed and the backlog served
+                    # idle: with nothing queued or running no wait can
+                    # be parked, so sleep until a socket is ready
+                    self._poll(None)
+                else:
+                    self._poll()  # answer what is ready, then serve
+                    job = None if self._stopping else self.queue.take()
+                    if job is not None:
+                        self._serve(job)
         finally:
             self._finish()
 
     def stop(self) -> None:
-        """Stop accepting, wind down the running job, write the journal.
+        """Stop the loop, wait for it, and release the wake-up socket.
 
-        The in-flight job (if any) is cancelled cooperatively at its
-        next cell boundary; still-queued jobs are failed with a clean
-        error payload. Use the ``drain`` op to finish the backlog
-        instead.
+        One byte on the wake-up socketpair tells the loop; this method
+        touches nothing the loop owns. The in-flight job (if any) is
+        cancelled cooperatively at its next cell boundary; still-queued
+        jobs fail with a clean error payload. Use the ``drain`` op to
+        finish the backlog instead. Called before the loop runs, it
+        makes the loop exit on its first pass.
         """
-        self.server.shutdown()
-        self._finish()
+        try:
+            self._wake_w.send(b"\0")
+        except OSError:
+            pass  # the loop is gone (its end closed) or already woken
+        if self._thread is not None:
+            self._thread.join()
+        self._wake_w.close()
+
+    def _request_stop(self) -> None:
+        self._stopping = True
+        # the in-flight job stops at its next cell boundary instead of
+        # holding the shutdown hostage
+        for job in self.jobs.values():
+            if job.state == JOB_RUNNING:
+                job.cancel_requested = True
 
     def _finish(self) -> None:
-        with self.cond:
-            self._stopping = True
-            # an in-flight job stops cooperatively at its next cell
-            # boundary instead of holding the shutdown hostage
-            for job in self.jobs.values():
-                if job.state == JOB_RUNNING:
-                    job.cancel_requested = True
-            self.cond.notify_all()
-        if self._scheduler is not None:
-            self._scheduler.join()
-        with self.cond:
-            # the scheduler is gone: whatever never reached a terminal
-            # state gets a clean error payload instead of limbo
-            for job in self.jobs.values():
-                if not job.done:
-                    self.queue.cancel(job.id)
-                    job.state = JOB_FAILED
-                    job.error = "daemon stopped before the job was served"
-                    job.finished_host = host_now()
-                    self.stats.record_job(job)
-            self.cond.notify_all()
-        self.server.server_close()
+        self._stopping = True
+        for job in self.jobs.values():
+            if not job.done:  # a clean error payload instead of limbo
+                job.state = JOB_FAILED
+                job.error = "daemon stopped before the job was served"
+                job.finished_host = host_now()
+                self.stats.record_job(job)
+        self._settle_waits()
+        for conn in list(self._conns):
+            self._close(conn)
+        self._selector.close()
+        self._listener.close()
+        self._wake_r.close()
         if self._socket_path is not None and self._socket_path.exists():
             self._socket_path.unlink()
         if self.journal_path is not None:
-            self.write_journal(self.journal_path)
-
-    def write_journal(self, path: Union[str, Path]) -> Path:
-        """Write ``_server.jsonl`` for this serving session.
-
-        Snapshot-then-release: the observation is assembled from the
-        live stats under the lock, the file write happens outside it
-        (RPL021/RPL022) — a slow disk never stalls handler threads.
-        """
-        with self.cond:
             obs = server_observation(
-                self.stats, self.address, tracer=self.tracer
+                self.stats, self.address, tracer=self.tracer,
+                evictions=self._evictions(),
             )
-        path = Path(path)
-        obs.journal().write(path)
-        return path
+            obs.journal().write(self.journal_path)
 
-    # -- the scheduler thread ----------------------------------------------
+    def _evictions(self) -> int:
+        cache = self.runner.cache
+        return cache.evictions if cache is not None else 0
 
-    def _scheduler_loop(self) -> None:
-        while True:
-            with self.cond:
-                while not self._stopping and len(self.queue) == 0:
-                    if self._draining:
-                        # admissions are closed and the backlog is
-                        # served: take the whole daemon down cleanly
-                        threading.Thread(
-                            target=self.server.shutdown, daemon=True
-                        ).start()
-                        return
-                    self.cond.wait(timeout=_IDLE_WAIT)
-                if self._stopping:
-                    return
-                job = self.queue.take()
-                if job is None:
-                    continue
-                if job.expired(host_now()):
-                    # never started: cancel in place of serving
-                    job.state = JOB_CANCELLED
-                    job.error = "deadline-exceeded before start"
-                    job.finished_host = host_now()
-                    self.stats.deadline_expired += 1
-                    self.stats.record_job(job)
-                    self.cond.notify_all()
-                    continue
-                job.state = JOB_RUNNING
-                job.started_host = host_now()
+    # -- the loop -----------------------------------------------------------
+
+    def _poll(self, timeout: Optional[float] = 0.0) -> None:
+        """One select pass: service every ready socket, settle waits.
+
+        With the default zero timeout this is the pump the runner calls
+        at each cell boundary: it answers requests, never starts a job.
+        """
+        for key, events in self._selector.select(timeout):
+            if key.fileobj is self._listener:
+                self._accept()
+            elif key.fileobj is self._wake_r:
+                self._request_stop()
+            else:
+                self._service(key.data, events)
+        self._settle_waits()
+
+    def _serve(self, job: Job) -> None:
+        """Run one job taken from the queue to a terminal state."""
+        if job.expired(host_now()):
+            # never started: cancel in place of serving
+            job.state = JOB_CANCELLED
+            job.error = f"{DEADLINE_EXCEEDED} before start"
+        else:
+            job.state = JOB_RUNNING
+            job.started_host = host_now()
             request = job.request
             with self.tracer.span(
                 "job", cat="serve", job=job.id, client=request.client,
                 cells=request.cells, priority=request.priority,
             ):
-                outcome = self.runner.run_job(
-                    job, on_cell=self._on_cell, should_stop=self._should_stop
-                )
-            # the cache is only ever driven from this thread, so its
-            # eviction counter is safe to read lock-free here; the
-            # stats mirror is published under the lock below
-            evictions = (
-                self.runner.cache.evictions
-                if self.runner.cache is not None else 0
-            )
-            with self.cond:
-                job.state = outcome.state
-                job.error = outcome.error
-                job.cost_dollars = outcome.cost_dollars
-                job.finished_host = host_now()
-                self.stats.evictions = evictions
-                self.stats.record_job(job)
-                self.cond.notify_all()
+                self.runner.run_job(job, self._poll)
+        job.finished_host = host_now()
+        self.stats.record_job(job)
+        self._settle_waits()
 
-    def _on_cell(self, job: Job, payload: dict, from_cache: bool) -> None:
-        """Publish one rendered payload and wake result-stream waiters."""
-        with self.cond:
-            job.payloads.append(payload)
-            if from_cache:
-                job.cache_hits += 1
+    def _settle_waits(self) -> None:
+        """Answer every parked wait whose job is terminal or time is up."""
+        now = host_now()
+        for conn in list(self._conns):
+            if conn.parked is None:
+                continue
+            job, deadline = conn.parked
+            if job.done:
+                response = ok_response(**job.status_dict())
+            elif now >= deadline:
+                response = error_response(
+                    "timeout", f"job {job.id} still {job.state}",
+                    **job.status_dict(),
+                )
             else:
-                job.executed += 1
-            self.cond.notify_all()
+                continue
+            conn.parked = None
+            self._reply(conn, response)
+            self._process(conn)  # frames that arrived behind the wait
 
-    def _should_stop(self, job: Job) -> Optional[Tuple[str, str]]:
-        """Cell-boundary poll: does the running job have to stop here?"""
-        with self.cond:
-            if job.cancel_requested:
-                return (
-                    JOB_CANCELLED,
-                    f"cancelled after {len(job.payloads)} of "
-                    f"{job.request.cells} cells",
-                )
-            if job.expired(host_now()):
-                self.stats.deadline_expired += 1
-                return (
-                    JOB_CANCELLED,
-                    f"deadline-exceeded after {len(job.payloads)} of "
-                    f"{job.request.cells} cells",
-                )
-        return None
+    # -- connections --------------------------------------------------------
+
+    def _accept(self) -> None:
+        try:
+            sock, _ = self._listener.accept()
+        except OSError:
+            return  # the client gave up before we got to it
+        sock.setblocking(False)
+        conn = _Conn(sock)
+        self._conns.append(conn)
+        self._selector.register(sock, selectors.EVENT_READ, conn)
+
+    def _service(self, conn: _Conn, events: int) -> None:
+        if events & selectors.EVENT_WRITE:
+            self._flush(conn)
+        else:
+            try:
+                data = conn.sock.recv(_RECV_BYTES)
+            except BlockingIOError:
+                return
+            except OSError:
+                data = b""
+            if not data:
+                self._close(conn)  # EOF or reset: the client is gone
+                return
+            conn.rbuf += data
+            if len(conn.rbuf) > MAX_LINE_BYTES:
+                self._hang_up(conn, f"frame exceeds {MAX_LINE_BYTES} bytes")
+                return
+        self._process(conn)
+
+    def _process(self, conn: _Conn) -> None:
+        """Answer buffered frames in order until a reply has to wait."""
+        while not (conn.closed or conn.closing or conn.wbuf or conn.parked):
+            end = conn.rbuf.find(b"\n", conn.scanned)
+            if end < 0:
+                conn.scanned = len(conn.rbuf)
+                return
+            line = bytes(conn.rbuf[:end + 1])
+            del conn.rbuf[:end + 1]
+            conn.scanned = 0
+            try:
+                message = parse_frame(line)
+            except ProtocolError as exc:
+                # the stream may be desynchronized: answer once, hang up
+                self._hang_up(conn, str(exc))
+                return
+            try:
+                response = self._answer(conn, message)
+            except ProtocolError as exc:
+                response = error_response("protocol", str(exc))
+            if response is None:
+                return  # a parked wait: _settle_waits answers it
+            if message.get("op") == "shutdown":
+                conn.closing = True
+            self._reply(conn, response)
+
+    def _hang_up(self, conn: _Conn, reason: str) -> None:
+        conn.closing = True
+        self._reply(conn, error_response("protocol", reason))
+
+    def _reply(self, conn: _Conn, response: dict) -> None:
+        conn.wbuf += dumps_message(response)
+        self._flush(conn)
+
+    def _flush(self, conn: _Conn) -> None:
+        """Send what the socket takes now; the rest waits for EVENT_WRITE."""
+        try:
+            del conn.wbuf[:conn.sock.send(conn.wbuf)]
+        except BlockingIOError:
+            pass
+        except OSError:
+            self._close(conn)
+            return
+        if conn.closing and not conn.wbuf:
+            self._close(conn)
+            return
+        # an unsent reply stops reading this client until it drains
+        events = selectors.EVENT_WRITE if conn.wbuf else selectors.EVENT_READ
+        if self._selector.get_key(conn.sock).events != events:
+            self._selector.modify(conn.sock, events, conn)
+
+    def _close(self, conn: _Conn) -> None:
+        if not conn.closed:
+            conn.closed = True
+            self._selector.unregister(conn.sock)
+            conn.sock.close()
+            self._conns.remove(conn)
 
     # -- protocol dispatch --------------------------------------------------
 
-    def dispatch(self, message: dict) -> dict:
-        """Answer one request frame (called from handler threads)."""
+    def _answer(self, conn: _Conn, message: dict) -> Optional[dict]:
+        """One request's response; ``None`` when a ``wait`` parks."""
         op = message.get("op")
-        if op not in OPS:
-            return error_response("unknown-op", f"unknown op {op!r}")
-        return getattr(self, f"_op_{op}")(message)
-
-    def _job_for(self, message: dict) -> Job:
-        job_id = message.get("job")
-        job = self.jobs.get(job_id) if isinstance(job_id, str) else None
-        if job is None:
-            raise ProtocolError(f"unknown job {job_id!r}")
-        return job
-
-    def _op_ping(self, message: dict) -> dict:
-        return ok_response(version=PROTOCOL_VERSION, address=self.address)
-
-    def _op_submit(self, message: dict) -> dict:
-        request = JobRequest.from_dict(message.get("job"))
-        with self.cond:
-            if self._stopping:
-                return error_response("shutting-down", "daemon is stopping")
-            if self._draining:
-                return error_response("draining", "daemon is draining")
-            self._seq += 1
-            job = Job(
-                id=f"j-{self._seq:06d}", request=request, seq=self._seq,
-                submitted_host=host_now(),
-            )
-            deadline = request.deadline or self.default_deadline
-            if deadline > 0:
-                job.deadline_host = job.submitted_host + deadline
-            retry_after = self.queue.offer(job)
-            if retry_after is not None:
-                # before bouncing a higher-priority job, displace queued
-                # lower-class work (the shed victims get a clean error)
-                shed = self.queue.shed_for(job)
-                for victim in shed:
-                    victim.error = (
-                        "shed: displaced by higher-priority submission"
-                    )
-                    victim.finished_host = host_now()
-                    self.stats.shed += 1
-                    self.stats.record_job(victim)
-                if shed:
-                    retry_after = self.queue.offer(job)
-            if retry_after is not None:
-                self._seq -= 1  # rejected submissions do not consume ids
-                self.stats.record_rejection(request.client)
-                return error_response(
-                    "queue-full",
-                    f"queue holds {self.queue.backlog_cells()} of "
-                    f"{self.queue.max_cells} cells",
-                    retry_after=retry_after,
-                )
-            self.jobs[job.id] = job
-            position = self.queue.position(job.id)
-            self.cond.notify_all()
-        return ok_response(job=job.id, position=position, cells=request.cells)
-
-    def _op_status(self, message: dict) -> dict:
-        with self.cond:
+        if op == "ping":
+            return ok_response(version=PROTOCOL_VERSION, address=self.address)
+        if op == "submit":
+            return self._submit(message)
+        if op == "status":
             job = self._job_for(message)
             position = (self.queue.position(job.id)
                         if job.state == JOB_QUEUED else None)
             return ok_response(**job.status_dict(position=position))
-
-    def _op_results(self, message: dict) -> dict:
-        after = message.get("after", 0)
-        if not isinstance(after, int) or isinstance(after, bool) or after < 0:
-            raise ProtocolError(f"bad results cursor {after!r}")
-        with self.cond:
-            job = self._job_for(message)
-            payloads = list(job.payloads[after:])
-            next_cursor = after + len(payloads)
+        if op == "results":
+            return self._results(message)
+        if op == "wait":
+            return self._wait(conn, message)
+        if op == "cancel":
+            return self._cancel(message)
+        if op == "stats":
             return ok_response(
-                job=job.id, state=job.state, payloads=payloads,
-                next=next_cursor,
-                complete=job.done and next_cursor >= len(job.payloads),
-                error_message=job.error,
-            )
-
-    def _op_wait(self, message: dict) -> dict:
-        timeout = message.get("timeout", 300.0)
-        if not isinstance(timeout, (int, float)) or timeout <= 0:
-            raise ProtocolError(f"bad wait timeout {timeout!r}")
-        deadline = host_now() + float(timeout)
-        with self.cond:
-            job = self._job_for(message)
-            while not job.done:
-                remaining = deadline - host_now()
-                if remaining <= 0:
-                    return error_response(
-                        "timeout", f"job {job.id} still {job.state}",
-                        **job.status_dict(),
-                    )
-                self.cond.wait(timeout=min(remaining, _IDLE_WAIT))
-            return ok_response(**job.status_dict())
-
-    def _op_cancel(self, message: dict) -> dict:
-        with self.cond:
-            job = self._job_for(message)
-            if job.done:
-                return error_response(
-                    "not-cancellable", f"job {job.id} already {job.state}"
-                )
-            if job.state == JOB_RUNNING:
-                # cooperative: the scheduler sees the flag at the next
-                # cell boundary and lands the job in ``cancelled``
-                job.cancel_requested = True
-                self.cond.notify_all()
-                return ok_response(cancelling=True, **job.status_dict())
-            self.queue.cancel(job.id)
-            job.finished_host = host_now()
-            self.stats.record_job(job)
-            self.cond.notify_all()
-            return ok_response(**job.status_dict())
-
-    def _op_stats(self, message: dict) -> dict:
-        # stats.evictions mirrors the scheduler-owned cache counter,
-        # refreshed at every job boundary — it may lag a job in flight
-        with self.cond:
-            return ok_response(
-                stats=self.stats.snapshot(),
+                stats=self.stats.snapshot(evictions=self._evictions()),
                 queue={
                     "depth": len(self.queue),
                     "backlog_cells": self.queue.backlog_cells(),
@@ -471,19 +419,95 @@ class ServeDaemon:
                 draining=self._draining,
                 uptime=host_now() - self.start_host,
             )
-
-    def _op_drain(self, message: dict) -> dict:
-        # graceful: close admissions now; the scheduler serves the
-        # remaining backlog and then shuts the daemon down itself
-        with self.cond:
+        if op == "drain":
+            # graceful: close admissions now; the loop serves the
+            # backlog and then shuts the daemon down itself
             self._draining = True
-            queued = len(self.queue)
-            self.cond.notify_all()
-        return ok_response(draining=True, queued=queued)
+            return ok_response(draining=True, queued=len(self.queue))
+        if op == "shutdown":
+            self._request_stop()
+            return ok_response(stopping=True)
+        return error_response("unknown-op", f"unknown op {op!r}")
 
-    def _op_shutdown(self, message: dict) -> dict:
-        # stop the accept loop from a helper thread: shutdown() blocks
-        # until serve_forever() returns, and this handler must still
-        # write its response on the dying connection first
-        threading.Thread(target=self.server.shutdown, daemon=True).start()
-        return ok_response(stopping=True)
+    def _job_for(self, message: dict) -> Job:
+        job_id = message.get("job")
+        job = self.jobs.get(job_id) if isinstance(job_id, str) else None
+        if job is None:
+            raise ProtocolError(f"unknown job {job_id!r}")
+        return job
+
+    def _submit(self, message: dict) -> dict:
+        request = JobRequest.from_dict(message.get("job"))
+        if self._stopping:
+            return error_response("shutting-down", "daemon is stopping")
+        if self._draining:
+            return error_response("draining", "daemon is draining")
+        self._seq += 1
+        job = Job(
+            id=f"j-{self._seq:06d}", request=request, seq=self._seq,
+            submitted_host=host_now(),
+        )
+        deadline = request.deadline or self.default_deadline
+        if deadline > 0:
+            job.deadline_host = job.submitted_host + deadline
+        retry_after = self.queue.offer(job)
+        if retry_after is not None:
+            # before bouncing a higher-priority job, displace queued
+            # lower-class work (the shed victims get a clean error)
+            shed = self.queue.shed_for(job)
+            for victim in shed:
+                victim.error = "shed: displaced by higher-priority submission"
+                victim.finished_host = host_now()
+                self.stats.shed += 1
+                self.stats.record_job(victim)
+            if shed:
+                retry_after = self.queue.offer(job)
+        if retry_after is not None:
+            self._seq -= 1  # rejected submissions do not consume ids
+            self.stats.record_rejection(request.client)
+            return error_response(
+                "queue-full",
+                f"queue holds {self.queue.backlog_cells()} of "
+                f"{self.queue.max_cells} cells",
+                retry_after=retry_after,
+            )
+        self.jobs[job.id] = job
+        position = self.queue.position(job.id)
+        return ok_response(job=job.id, position=position, cells=request.cells)
+
+    def _results(self, message: dict) -> dict:
+        after = message.get("after", 0)
+        if not isinstance(after, int) or isinstance(after, bool) or after < 0:
+            raise ProtocolError(f"bad results cursor {after!r}")
+        job = self._job_for(message)
+        payloads = job.payloads[after:]
+        next_cursor = after + len(payloads)
+        return ok_response(
+            job=job.id, state=job.state, payloads=payloads, next=next_cursor,
+            complete=job.done and next_cursor >= len(job.payloads),
+            error_message=job.error,
+        )
+
+    def _wait(self, conn: _Conn, message: dict) -> Optional[dict]:
+        timeout = wait_timeout(message)
+        job = self._job_for(message)
+        if job.done:
+            return ok_response(**job.status_dict())
+        conn.parked = (job, host_now() + timeout)
+        return None
+
+    def _cancel(self, message: dict) -> dict:
+        job = self._job_for(message)
+        if job.done:
+            return error_response(
+                "not-cancellable", f"job {job.id} already {job.state}"
+            )
+        if job.state == JOB_RUNNING:
+            # cooperative: the runner sees the flag at the next cell
+            # boundary and lands the job in ``cancelled``
+            job.cancel_requested = True
+            return ok_response(cancelling=True, **job.status_dict())
+        self.queue.cancel(job.id)
+        job.finished_host = host_now()
+        self.stats.record_job(job)
+        return ok_response(**job.status_dict())

@@ -24,6 +24,7 @@ re-attaches to the same job id and continues where it stopped.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import IO, Dict, List, Optional, Tuple
 
@@ -38,9 +39,11 @@ __all__ = [
     "JOB_CANCELLED",
     "JOB_STATES",
     "OPS",
+    "DEADLINE_EXCEEDED",
     "JobRequest",
+    "wait_timeout",
     "dumps_message",
-    "send_message",
+    "parse_frame",
     "recv_message",
     "ok_response",
     "error_response",
@@ -72,9 +75,22 @@ JOB_STATES = (JOB_QUEUED, JOB_RUNNING, JOB_DONE, JOB_FAILED, JOB_CANCELLED)
 #: states a job can never leave
 TERMINAL_STATES = (JOB_DONE, JOB_FAILED, JOB_CANCELLED)
 
+#: the error prefix of a job cancelled because its deadline passed
+DEADLINE_EXCEEDED = "deadline-exceeded"
+
 
 class ProtocolError(ValueError):
     """A malformed frame, an unknown op, or an invalid job payload."""
+
+
+def _is_number(value: object) -> bool:
+    """A finite number; ``bool`` (an ``int`` subclass) does not count."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 # -- the typed submission ---------------------------------------------------
@@ -136,12 +152,11 @@ class JobRequest:
             if (not isinstance(size, int) or isinstance(size, bool)
                     or not 0 < size <= 4096):
                 raise ProtocolError(f"bad cluster size {size!r}")
-        if not (isinstance(self.weight, (int, float)) and self.weight > 0):
+        if not (_is_number(self.weight) and self.weight > 0):
             raise ProtocolError(f"weight must be positive, got {self.weight!r}")
-        if not isinstance(self.priority, int):
+        if not isinstance(self.priority, int) or isinstance(self.priority, bool):
             raise ProtocolError(f"priority must be an int, got {self.priority!r}")
-        if (not isinstance(self.deadline, (int, float))
-                or isinstance(self.deadline, bool) or self.deadline < 0):
+        if not _is_number(self.deadline) or self.deadline < 0:
             raise ProtocolError(
                 f"deadline must be >= 0 host seconds, got {self.deadline!r}"
             )
@@ -195,6 +210,14 @@ class JobRequest:
         )
 
 
+def wait_timeout(message: dict) -> float:
+    """The host-seconds ``timeout`` of a ``wait`` request (default 300)."""
+    timeout = message.get("timeout", 300.0)
+    if not _is_number(timeout) or timeout <= 0:
+        raise ProtocolError(f"bad wait timeout {timeout!r}")
+    return float(timeout)
+
+
 # -- framing ----------------------------------------------------------------
 
 def dumps_message(message: dict) -> bytes:
@@ -203,10 +226,30 @@ def dumps_message(message: dict) -> bytes:
             + "\n").encode("ascii")
 
 
-def send_message(stream: IO[bytes], message: dict) -> None:
-    """Write one frame and flush it."""
-    stream.write(dumps_message(message))
-    stream.flush()
+def _finite(text: str) -> float:
+    """JSON float and constant hook: ``NaN``/``Infinity``/overflow raise."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ProtocolError(f"frame carries a non-finite number {text}")
+    return value
+
+
+def parse_frame(line: bytes) -> dict:
+    """Decode one frame's line; errors on garbage.
+
+    ``NaN``, ``Infinity`` and numbers that overflow a float are
+    garbage too: no field of the protocol can use them.
+    """
+    if len(line) > MAX_LINE_BYTES:
+        raise ProtocolError(f"frame exceeds {MAX_LINE_BYTES} bytes")
+    try:
+        message = json.loads(line.decode("ascii"), parse_float=_finite,
+                             parse_constant=_finite)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ProtocolError(f"frame is not canonical JSON: {exc}") from exc
+    if not isinstance(message, dict):
+        raise ProtocolError("frames are JSON objects")
+    return message
 
 
 def recv_message(stream: IO[bytes]) -> Optional[dict]:
@@ -214,15 +257,7 @@ def recv_message(stream: IO[bytes]) -> Optional[dict]:
     line = stream.readline(MAX_LINE_BYTES + 1)
     if not line:
         return None
-    if len(line) > MAX_LINE_BYTES:
-        raise ProtocolError(f"frame exceeds {MAX_LINE_BYTES} bytes")
-    try:
-        message = json.loads(line.decode("ascii"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"frame is not canonical JSON: {exc}") from exc
-    if not isinstance(message, dict):
-        raise ProtocolError("frames are JSON objects")
-    return message
+    return parse_frame(line)
 
 
 def ok_response(**fields: object) -> dict:

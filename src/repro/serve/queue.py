@@ -28,8 +28,8 @@ who runs next and who gets in at all:
   work displaces background work instead of bouncing off a queue the
   background work filled.
 
-The queue is plain single-threaded state: the daemon holds its one lock
-around every call, which keeps the policy deterministic and directly
+The queue is plain single-threaded state, owned by the daemon's one
+event loop, which keeps the policy deterministic and directly
 unit-testable without threads.
 """
 
@@ -160,7 +160,3 @@ class FairQueue:
 
     def __len__(self) -> int:
         return len(self._live())
-
-    def __repr__(self) -> str:
-        return (f"FairQueue({len(self)} jobs, {self.backlog_cells()}/"
-                f"{self.max_cells} cells)")

@@ -1,11 +1,13 @@
-"""The serving scheduler: one job at a time through the shared executor.
+"""The serving runner: one job at a time through the shared executor.
 
 This is the ``run()`` half of the submit/run split (seisflows'
 ``Cluster.submit()`` hands work to a workload manager that executes it;
 here the daemon's protocol layer is the submitter and this module the
-manager). Every job routes through :func:`repro.exec.execute_specs`
-with one shared :class:`~repro.exec.cache.ResultCache`, which is what
-makes the daemon worth sharing:
+manager). Both halves run on the daemon's one event loop, so the runner
+writes the job record in place: nothing else can observe it mid-update.
+Every job routes through :func:`repro.exec.execute_specs` with one
+shared :class:`~repro.exec.cache.ResultCache`, which is what makes the
+daemon worth sharing:
 
 * the **warm dataset pool** — datasets are process-memoized by
   ``load_dataset``, so the first job to touch (name, size) pays
@@ -23,33 +25,24 @@ never new numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from ..exec.cache import ResultCache
 from ..exec.executor import execute_specs
 from ..exec.progress import SOURCE_CACHE, CellEvent
 from ..exec.retry import ExecutorError
 from ..exec.serialize import result_to_payload
-from .protocol import JOB_DONE, JOB_FAILED, Job
+from ..obs.hostclock import host_now
+from .protocol import (
+    DEADLINE_EXCEEDED,
+    JOB_CANCELLED,
+    JOB_DONE,
+    JOB_FAILED,
+    Job,
+)
 
-__all__ = ["JobInterrupted", "JobOutcome", "JobRunner"]
-
-
-@dataclass(frozen=True)
-class JobOutcome:
-    """A finished job's terminal verdict, owned by the runner's thread.
-
-    ``run_job`` returns one of these instead of mutating the shared
-    :class:`Job` record: the daemon applies it under its condition lock
-    (RPL021), so handler threads never observe a half-written terminal
-    state — a job is running, then atomically done/failed/cancelled.
-    """
-
-    state: str
-    error: Optional[str] = None
-    cost_dollars: float = 0.0
+__all__ = ["JobInterrupted", "JobRunner"]
 
 
 class JobInterrupted(Exception):
@@ -58,14 +51,9 @@ class JobInterrupted(Exception):
     The progress callback fires at every cell boundary *outside* the
     executor's retry machinery, so raising here unwinds cleanly out of
     :func:`execute_specs` — the cooperative path that makes running
-    jobs cancellable (``serve-ctl cancel``, deadline expiry) without
-    killing the scheduler thread.
+    jobs cancellable (``serve-ctl cancel``, deadline expiry, shutdown)
+    without killing the daemon's loop.
     """
-
-    def __init__(self, state: str, error: str) -> None:
-        super().__init__(error)
-        self.state = state
-        self.error = error
 
 
 class JobRunner:
@@ -82,40 +70,35 @@ class JobRunner:
         self.cache = cache
         self.jobs = max(1, jobs)
 
-    def warm(self, datasets, size: str) -> int:
-        """Pre-generate datasets into the process pool; returns the count."""
-        from ..datasets.registry import load_dataset
+    def run_job(self, job: Job,
+                pump: Optional[Callable[[], None]] = None) -> None:
+        """Execute one job's grid, writing its progress onto ``job``.
 
-        count = 0
-        for name in datasets:
-            load_dataset(name, size)
-            count += 1
-        return count
-
-    def run_job(self, job: Job, on_cell, should_stop=None) -> JobOutcome:
-        """Execute one job's grid, streaming payloads in plan order.
-
-        The runner thread never touches the shared ``job`` record:
-        every rendered payload is handed to the mandatory ``on_cell``
-        callback as ``on_cell(job, payload, from_cache)`` — the daemon
-        publishes it (and wakes result-stream waiters) under its lock.
-        ``should_stop`` is polled at the same cell boundary: returning
-        a ``(state, error)`` pair interrupts the grid cooperatively
-        with the completed payload prefix intact — how a running job
-        honours ``cancel`` and deadline expiry. The terminal verdict
-        comes back as a :class:`JobOutcome`; an executor-level failure
-        (retry exhaustion, broken cache) fails the job rather than
-        killing the daemon.
+        At every cell boundary the rendered payload lands on the job
+        (in plan order, with its cache-hit or executed count), then
+        ``pump`` runs — the daemon's zero-timeout socket poll, which
+        answers requests and may set ``job.cancel_requested``. A
+        cancel (or shutdown) seen there, or a passed deadline, stops
+        the grid right at that boundary with the completed payload
+        prefix intact. The job always ends terminal: done with its
+        ``cost.dollars``, cancelled, or failed on an executor-level
+        error (retry exhaustion, broken cache) instead of killing the
+        daemon.
         """
 
         def progress(event: CellEvent) -> None:
-            # render outside any lock — serialization is the slow part
-            payload = result_to_payload(event.result)
-            on_cell(job, payload, event.source == SOURCE_CACHE)
-            if should_stop is not None:
-                stop = should_stop(job)
-                if stop is not None:
-                    raise JobInterrupted(*stop)
+            job.payloads.append(result_to_payload(event.result))
+            if event.source == SOURCE_CACHE:
+                job.cache_hits += 1
+            else:
+                job.executed += 1
+            if pump is not None:
+                pump()
+            served = f"{len(job.payloads)} of {job.request.cells} cells"
+            if job.cancel_requested:
+                raise JobInterrupted(f"cancelled after {served}")
+            if job.expired(host_now()):
+                raise JobInterrupted(f"{DEADLINE_EXCEEDED} after {served}")
 
         try:
             execution = execute_specs(
@@ -125,13 +108,13 @@ class JobRunner:
                 progress=progress,
             )
         except JobInterrupted as exc:
-            return JobOutcome(state=exc.state, error=exc.error)
+            job.state, job.error = JOB_CANCELLED, str(exc)
+            return
         except ExecutorError as exc:
-            return JobOutcome(state=JOB_FAILED, error=str(exc))
-        return JobOutcome(
-            state=JOB_DONE,
-            cost_dollars=_metric(execution, "cost.dollars"),
-        )
+            job.state, job.error = JOB_FAILED, str(exc)
+            return
+        job.state = JOB_DONE
+        job.cost_dollars = _metric(execution, "cost.dollars")
 
 
 def _metric(execution, name: str) -> float:

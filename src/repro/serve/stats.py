@@ -28,9 +28,16 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..obs import RunObservation, Tracer
-from .protocol import JOB_DONE, JOB_FAILED, Job
+from .protocol import DEADLINE_EXCEEDED, JOB_DONE, JOB_FAILED, Job
 
 __all__ = ["percentile", "ServerStats", "server_observation"]
+
+#: snapshot fields copied into the server journal's meta
+_META_FIELDS = (
+    "jobs", "rejected", "shed", "deadline_expired", "evictions", "cells",
+    "cache_hits", "executed", "cache_hit_rate", "dollars", "clients",
+    "p50_latency", "p99_latency", "per_client",
+)
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -61,9 +68,6 @@ class ServerStats:
         self.shed = 0
         #: jobs cancelled because their deadline passed (queued or running)
         self.deadline_expired = 0
-        #: shared-cache evictions under a cache budget (mirrored from
-        #: the runner's :class:`~repro.exec.cache.ResultCache`)
-        self.evictions = 0
         self.cells = 0
         self.cache_hits = 0
         self.executed = 0
@@ -82,14 +86,16 @@ class ServerStats:
         )
 
     def record_job(self, job: Job) -> None:
-        """Fold one finished (done/failed/cancelled-after-start) job in."""
+        """Fold one terminal job in (cancelled jobs are counted only)."""
         if job.state == JOB_DONE:
             self.jobs_done += 1
         elif job.state == JOB_FAILED:
             self.jobs_failed += 1
         else:
             self.jobs_cancelled += 1
-            return  # cancelled before service: no samples, no bill
+            if (job.error or "").startswith(DEADLINE_EXCEEDED):
+                self.deadline_expired += 1
+            return  # cancelled: no samples, no bill
         self.cells += job.request.cells
         self.cache_hits += job.cache_hits
         self.executed += job.executed
@@ -119,8 +125,12 @@ class ServerStats:
         """Fraction of served cells replayed from the shared cache."""
         return self.cache_hits / self.cells if self.cells else 0.0
 
-    def snapshot(self) -> dict:
-        """The aggregate view: the ``stats`` response / bench record body."""
+    def snapshot(self, evictions: int = 0) -> dict:
+        """The aggregate view: the ``stats`` response / bench record body.
+
+        ``evictions`` is the shared result cache's own counter, read by
+        the caller when it asks (the cache is not the stats' to mirror).
+        """
         return {
             "jobs": self.jobs,
             "jobs_done": self.jobs_done,
@@ -129,7 +139,7 @@ class ServerStats:
             "rejected": self.rejected,
             "shed": self.shed,
             "deadline_expired": self.deadline_expired,
-            "evictions": self.evictions,
+            "evictions": evictions,
             "cells": self.cells,
             "cache_hits": self.cache_hits,
             "executed": self.executed,
@@ -153,11 +163,13 @@ def server_observation(
     stats: ServerStats,
     address: str,
     tracer: Optional[Tracer] = None,
+    evictions: int = 0,
 ) -> RunObservation:
     """Assemble the daemon's journalable observation (``_server.jsonl``).
 
     ``tracer`` is the daemon's live host-clock tracer (spans already
-    recorded per job); tests may pass a fresh one.
+    recorded per job); tests may pass a fresh one. ``evictions`` is the
+    shared result cache's eviction count.
     """
     obs = RunObservation(tracer=tracer if tracer is not None else Tracer())
     metrics = obs.metrics
@@ -167,7 +179,7 @@ def server_observation(
     metrics.counter("serve.rejected").inc(stats.rejected)
     metrics.counter("serve.shed").inc(stats.shed)
     metrics.counter("serve.deadline_expired").inc(stats.deadline_expired)
-    metrics.counter("serve.cache_evictions").inc(stats.evictions)
+    metrics.counter("serve.cache_evictions").inc(evictions)
     metrics.counter("serve.cells").inc(stats.cells)
     metrics.counter("serve.cache_hits").inc(stats.cache_hits)
     metrics.counter("serve.cells_executed").inc(stats.executed)
@@ -178,23 +190,7 @@ def server_observation(
         metrics.histogram("serve.service_seconds").observe(sample)
     for sample in stats.latencies:
         metrics.histogram("serve.latency_seconds").observe(sample)
-    snapshot = stats.snapshot()
-    obs.meta = {
-        "kind": "server",
-        "address": address,
-        "jobs": snapshot["jobs"],
-        "rejected": snapshot["rejected"],
-        "shed": snapshot["shed"],
-        "deadline_expired": snapshot["deadline_expired"],
-        "evictions": snapshot["evictions"],
-        "cells": snapshot["cells"],
-        "cache_hits": snapshot["cache_hits"],
-        "executed": snapshot["executed"],
-        "cache_hit_rate": snapshot["cache_hit_rate"],
-        "dollars": snapshot["dollars"],
-        "clients": snapshot["clients"],
-        "p50_latency": snapshot["p50_latency"],
-        "p99_latency": snapshot["p99_latency"],
-        "per_client": snapshot["per_client"],
-    }
+    snapshot = stats.snapshot(evictions)
+    obs.meta = {"kind": "server", "address": address}
+    obs.meta.update((name, snapshot[name]) for name in _META_FIELDS)
     return obs

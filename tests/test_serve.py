@@ -10,10 +10,17 @@ from the shared warm cache instead of recomputed.
 """
 
 import json
+import os
+import socket
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.runner import ExperimentSpec, run_grid
 from repro.exec.executor import execute_specs
 from repro.exec.serialize import result_to_payload
@@ -23,7 +30,6 @@ from repro.serve import (
     JOB_CANCELLED,
     JOB_DONE,
     JOB_FAILED,
-    JOB_QUEUED,
     JOB_RUNNING,
     FairQueue,
     Job,
@@ -40,7 +46,14 @@ from repro.serve import (
     percentile,
     server_observation,
 )
-from repro.serve.protocol import dumps_message, recv_message
+from repro.serve import daemon as daemon_module
+from repro.serve import protocol
+from repro.serve.protocol import (
+    dumps_message,
+    parse_frame,
+    recv_message,
+    wait_timeout,
+)
 
 
 def request(client="alice", systems=("G",), workloads=("pagerank",),
@@ -345,7 +358,8 @@ def test_server_journal_classifies_renders_and_diffs(daemon, tmp_path):
             systems=("G",), workloads=("pagerank",), datasets=("twitter",),
             cluster_sizes=(16,), dataset_size="tiny"))
         link.wait(job_id, timeout=120)
-    path = daemon.write_journal(tmp_path / "server.jsonl")
+    daemon.stop()  # the loop writes its journal on the way down
+    path = tmp_path / "_server.jsonl"
 
     assert perf.classify_path(path) == perf.KIND_SERVER
     summary = render_summary(Journal.read(path))
@@ -413,12 +427,22 @@ def test_server_observation_meta_matches_the_snapshot():
 # -- hardening: deadlines, shedding, eviction, drain -------------------------
 
 
+def close_unstarted(server):
+    """Release a daemon whose loop never ran, serving nothing queued.
+
+    A stop requested before the loop starts makes ``serve_forever``
+    exit on its first pass, closing every socket on the way out.
+    """
+    server.stop()
+    server.serve_forever()
+
+
 @pytest.fixture()
 def cold():
-    """An unstarted daemon: the policy layer without any threads."""
+    """An unstarted daemon: the policy layer with no loop running."""
     server = ServeDaemon(address="127.0.0.1:0", cache=None, max_queue_cells=8)
     yield server
-    server.server.server_close()
+    close_unstarted(server)
 
 
 def submit_message(**kwargs):
@@ -438,49 +462,61 @@ def test_deadline_round_trips_and_rejects_negatives():
 
 def test_submit_stamps_deadlines_from_request_or_daemon_default(cold):
     # no deadline anywhere: the job never expires
-    free = cold._op_submit(submit_message())
+    free = cold._submit(submit_message())
     assert cold.jobs[free["job"]].deadline_host == 0.0
     # the request's own budget counts from submission
-    hurried = cold._op_submit(submit_message(deadline=5.0))
+    hurried = cold._submit(submit_message(deadline=5.0))
     job = cold.jobs[hurried["job"]]
     assert job.deadline_host - job.submitted_host == pytest.approx(5.0)
 
     lax = ServeDaemon(address="127.0.0.1:0", cache=None, default_deadline=2.0)
     try:
-        defaulted = lax.jobs[lax._op_submit(submit_message())["job"]]
+        defaulted = lax.jobs[lax._submit(submit_message())["job"]]
         assert (defaulted.deadline_host - defaulted.submitted_host
                 == pytest.approx(2.0))
-        own = lax.jobs[lax._op_submit(submit_message(deadline=5.0))["job"]]
+        own = lax.jobs[lax._submit(submit_message(deadline=5.0))["job"]]
         assert own.deadline_host - own.submitted_host == pytest.approx(5.0)
     finally:
-        lax.server.server_close()
+        close_unstarted(lax)
 
 
-def test_should_stop_honours_cancel_then_deadline(cold):
-    running = job(1)
-    running.state = JOB_RUNNING
-    assert cold._should_stop(running) is None
+def test_should_stop_honours_cancel_then_deadline():
+    # the runner checks the job at every cell boundary: a cancel first,
+    # then the deadline, each stopping the grid right there
+    runner = JobRunner(cache=None)
+    free = job(1, systems=("G", "BV"))
+    runner.run_job(free)
+    assert free.state == JOB_DONE and len(free.payloads) == 2
 
-    running.cancel_requested = True
-    state, error = cold._should_stop(running)
-    assert state == JOB_CANCELLED and "cancelled after 0 of 1" in error
+    both = job(2, systems=("G", "BV"))
+    both.cancel_requested = True
+    both.deadline_host = 1e-9  # long past on any host clock
+    runner.run_job(both)
+    assert both.state == JOB_CANCELLED
+    assert both.error == "cancelled after 1 of 2 cells"
 
-    expired = job(2)
-    expired.state = JOB_RUNNING
-    expired.deadline_host = 1e-9  # long past on any host clock
-    state, error = cold._should_stop(expired)
-    assert state == JOB_CANCELLED and "deadline-exceeded" in error
-    assert cold.stats.deadline_expired == 1
+    expired = job(3, systems=("G", "BV"))
+    expired.deadline_host = 1e-9
+    runner.run_job(expired)
+    assert expired.state == JOB_CANCELLED
+    assert expired.error == "deadline-exceeded after 1 of 2 cells"
+
+    # only the deadline verdict counts as a deadline expiry
+    stats = ServerStats()
+    for finished in (free, both, expired):
+        stats.record_job(finished)
+    assert stats.deadline_expired == 1
+    assert stats.jobs_cancelled == 2 and stats.jobs_done == 1
 
 
 def test_cancelling_a_running_job_is_cooperative_not_silent(cold):
     # the old behaviour dropped cancels of running jobs on the floor;
     # now the client is told "cancelling" and the flag is set for the
-    # scheduler's next cell-boundary poll
+    # runner's next cell-boundary check
     running = job(1)
     running.state = JOB_RUNNING
     cold.jobs[running.id] = running
-    response = cold._op_cancel({"op": "cancel", "job": running.id})
+    response = cold._cancel({"op": "cancel", "job": running.id})
     assert response["ok"] and response["cancelling"] is True
     assert running.cancel_requested
     assert running.state == JOB_RUNNING  # the effect lands at the boundary
@@ -489,39 +525,31 @@ def test_cancelling_a_running_job_is_cooperative_not_silent(cold):
 def test_job_runner_stops_at_the_next_cell_boundary():
     runner = JobRunner(cache=None)
     victim = job(1, systems=("G", "BV"))  # 2 cells
+    pumped = []
 
-    def publish(j, payload, from_cache):
-        j.payloads.append(payload)
+    def pump():
+        # the daemon's socket poll: here, a cancel lands mid-job
+        pumped.append(len(victim.payloads))
+        victim.cancel_requested = True
 
-    def stop_after_first(j):
-        return (JOB_CANCELLED, "test stop") if len(j.payloads) >= 1 else None
-
-    outcome = runner.run_job(victim, publish, should_stop=stop_after_first)
-    assert outcome.state == JOB_CANCELLED and outcome.error == "test stop"
-    # the runner reports the verdict but never touches the shared record
-    assert victim.state == JOB_QUEUED and victim.error is None
+    runner.run_job(victim, pump)
+    assert pumped == [1]  # pumped once, after the first cell was written
+    assert victim.state == JOB_CANCELLED
+    assert victim.error == "cancelled after 1 of 2 cells"
     assert len(victim.payloads) == 1  # the completed prefix stays streamable
+    assert victim.cost_dollars == 0.0  # only a finished grid is billed
 
 
-def test_job_runner_returns_an_outcome_without_mutating_the_job():
-    # RPL021 regression: run_job used to assign state/error/cost onto
-    # the shared Job from the scheduler thread with no lock held; now
-    # every mutation goes through on_cell or the returned JobOutcome
+def test_job_runner_writes_progress_and_verdict_onto_the_job():
+    # one owner: the runner writes payloads, counts, the terminal state
+    # and the bill straight onto the job it serves
     runner = JobRunner(cache=None)
     served = job(1)
-    seen = []
-
-    def publish(j, payload, from_cache):
-        seen.append((payload["record"]["system"], from_cache))
-        j.payloads.append(payload)
-
-    outcome = runner.run_job(served, publish)
-    assert outcome.state == JOB_DONE and outcome.error is None
-    assert outcome.cost_dollars > 0
-    assert served.state == JOB_QUEUED  # untouched: the daemon applies it
-    assert served.cost_dollars == 0.0
+    runner.run_job(served)
+    assert served.state == JOB_DONE and served.error is None
+    assert served.cost_dollars > 0
     assert [p["record"]["system"] for p in served.payloads] == ["G"]
-    assert seen == [("G", False)]  # cold cache: executed, not replayed
+    assert (served.executed, served.cache_hits) == (1, 0)  # cold: executed
 
 
 def test_shed_for_displaces_only_strictly_lower_priority():
@@ -551,16 +579,16 @@ def test_shed_for_displaces_only_strictly_lower_priority():
 def test_submit_sheds_queued_work_for_higher_priority(cold):
     # four 2-cell background jobs fill the 8-cell queue
     for client in ("a", "b", "c", "d"):
-        response = cold._op_submit(
+        response = cold._submit(
             submit_message(client=client, systems=("G", "BV"), priority=0))
         assert response["ok"]
     # an equal-priority overflow is still an honest queue-full rejection
-    rejected = cold._op_submit(
+    rejected = cold._submit(
         submit_message(client="e", systems=("G", "BV"), priority=0))
     assert rejected["error"] == "queue-full" and rejected["retry_after"] > 0
     assert cold.stats.rejected == 1
 
-    admitted = cold._op_submit(
+    admitted = cold._submit(
         submit_message(client="urgent", systems=("G", "BV"), priority=5))
     assert admitted["ok"]
     assert cold.stats.shed == 1
@@ -571,9 +599,9 @@ def test_submit_sheds_queued_work_for_higher_priority(cold):
 
 
 def test_draining_daemon_refuses_new_submissions(cold):
-    response = cold._op_drain({"op": "drain"})
+    response = cold._answer(None, {"op": "drain"})
     assert response["ok"] and response["draining"] is True
-    refused = cold._op_submit(submit_message())
+    refused = cold._submit(submit_message())
     assert refused["error"] == "draining"
 
 
@@ -610,8 +638,17 @@ def test_cache_budget_evicts_lru_and_journals_the_count(tmp_path):
     assert journal.meta["evictions"] >= 1
 
 
+def wait_for_threads(count, timeout=120.0):
+    """Block until the process is back to ``count`` Python threads."""
+    deadline = time.monotonic() + timeout
+    while threading.active_count() > count and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return threading.active_count()
+
+
 def test_drain_serves_the_backlog_then_exits_cleanly(tmp_path):
     journal_path = tmp_path / "_server.jsonl"
+    before = threading.active_count()
     server = ServeDaemon(
         address="127.0.0.1:0", cache=tmp_path / "cache",
         journal_path=journal_path,
@@ -625,22 +662,22 @@ def test_drain_serves_the_backlog_then_exits_cleanly(tmp_path):
             for system in ("G", "BV")
         ]
         assert link.drain()["draining"] is True
-    # the scheduler finishes the backlog, then takes the daemon down
-    # itself -- no stop() involved
-    server._scheduler.join(timeout=120)
-    assert not server._scheduler.is_alive()
-    server._server_thread.join(timeout=60)
-    assert not server._server_thread.is_alive()
+    # the loop finishes the backlog, then takes the daemon down itself
+    # -- its thread ends and the journal appears with no stop() involved
+    assert wait_for_threads(before) == before
     assert [server.jobs[i].state for i in ids] == [JOB_DONE, JOB_DONE]
-    server.stop()  # releases the socket and writes the journal
     assert Journal.read(journal_path).meta["jobs"] == 2
+    with pytest.raises(OSError):  # the listening socket is closed
+        ServeClient(server.address, client="late", timeout=5)
+    server.stop()  # nothing left to stop: returns at once
 
 
 def test_stop_with_an_inflight_job_never_hangs_or_leaks(tmp_path):
     # the shutdown regression: stop() while a job is queued or running
-    # must come back promptly with the scheduler joined and the job in a
+    # must come back promptly with the loop joined and the job in a
     # terminal state, never a hung daemon or a leaked thread
     journal_path = tmp_path / "_server.jsonl"
+    before = threading.active_count()
     server = ServeDaemon(
         address="127.0.0.1:0", cache=tmp_path / "cache",
         journal_path=journal_path,
@@ -654,7 +691,7 @@ def test_stop_with_an_inflight_job_never_hangs_or_leaks(tmp_path):
     stopper.start()
     stopper.join(timeout=120)
     assert not stopper.is_alive()
-    assert not server._scheduler.is_alive()
+    assert threading.active_count() == before  # the loop thread is joined
     job = server.jobs[job_id]
     assert job.done
     assert job.state in (JOB_DONE, JOB_CANCELLED, JOB_FAILED)
@@ -663,31 +700,224 @@ def test_stop_with_an_inflight_job_never_hangs_or_leaks(tmp_path):
     assert journal_path.is_file()
 
 
+def hold_until_cancelled(job, pump):
+    """A stand-in ``run_job`` whose one cell never ends.
+
+    It keeps pumping the loop the way the real runner does between
+    cells, so the daemon stays responsive, until a cancel or a stop.
+    """
+    while not job.cancel_requested:
+        pump()
+        time.sleep(0.005)
+    job.state, job.error = JOB_CANCELLED, "cancelled after 0 cells"
+
+
+def stuck_daemon(**kwargs):
+    server = ServeDaemon(address="127.0.0.1:0", cache=None, **kwargs)
+    server.runner.run_job = hold_until_cancelled
+    return server.start()
+
+
+SPEC = dict(systems=("G",), workloads=("pagerank",), datasets=("twitter",),
+            cluster_sizes=(16,), dataset_size="tiny")
+
+
 def test_queue_full_exhaustion_raises_typed_error_and_streams_time_out(tmp_path):
-    # socket thread only: with no scheduler the queue never drains, so
-    # admission control rejects forever and streams never complete
-    server = ServeDaemon(
-        address="127.0.0.1:0", cache=None, max_queue_cells=1,
-    )
-    socket_thread = threading.Thread(
-        target=server.server.serve_forever, daemon=True)
-    socket_thread.start()
+    # the first job holds the loop's runner forever and the second
+    # fills the queue behind it, so admission control rejects every
+    # retry and the queued job's stream never completes
+    server = stuck_daemon(max_queue_cells=1)
     try:
         with ServeClient(server.address, client="pushy") as link:
-            spec = dict(systems=("G",), workloads=("pagerank",),
-                        datasets=("twitter",), cluster_sizes=(16,),
-                        dataset_size="tiny")
-            first = link.submit(link.request(**spec))
+            link.submit(link.request(**SPEC))
+            second = link.submit(link.request(**SPEC))
             with pytest.raises(QueueFullError) as info:
-                link.submit(link.request(**spec), retries=2, backoff_cap=0.01)
+                link.submit(link.request(**SPEC), retries=2, backoff_cap=0.01)
             assert info.value.code == "queue-full"
             assert info.value.rejections == 3  # retries + the final attempt
             with pytest.raises(ServeError) as timed_out:
-                link.fetch_payloads(first, timeout=0.2)
+                link.fetch_payloads(second, timeout=0.2)
             assert timed_out.value.code == "timeout"
     finally:
-        server.server.shutdown()
-        server.server.server_close()
+        server.stop()
+
+
+# -- one owner: what a single loop must survive -------------------------------
+
+
+@pytest.mark.parametrize("check,value", [
+    ("frame", b'{"op":"wait","job":"j-000001","timeout":NaN}'),
+    ("frame", b'{"op":"submit","job":{"deadline":Infinity}}'),
+    ("frame", b'{"op":"submit","job":{"weight":-Infinity}}'),
+    ("frame", b'{"op":"wait","job":"j-000001","timeout":1e400}'),
+    ("job", {"weight": True}),
+    ("job", {"priority": True}),
+    ("job", {"deadline": float("nan")}),
+    ("job", {"weight": float("inf")}),
+    ("wait", True),
+    ("wait", float("nan")),
+])
+def test_frames_and_fields_reject_bools_and_non_finite_numbers(check, value):
+    # NaN never compares, so a NaN wait timeout could never expire and
+    # a NaN deadline never fire; bool is an int subclass, never a number
+    # a client meant to send
+    with pytest.raises(ProtocolError):
+        if check == "frame":
+            parse_frame(value + b"\n")
+        elif check == "job":
+            JobRequest.from_dict(dict(request().to_dict(), **value))
+        else:
+            wait_timeout({"op": "wait", "job": "j-000001", "timeout": value})
+
+
+def served_alongside(server):
+    """Another client's submit->wait completes: the loop is not wedged."""
+    with ServeClient(server.address, client="bystander", timeout=60) as link:
+        job_id = link.submit(link.request(**SPEC))
+        return link.wait(job_id, timeout=60)["state"]
+
+
+def raw_connection(server, rcvbuf=None):
+    host, port = parse_address(server.address)[1]
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    if rcvbuf is not None:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
+    sock.settimeout(60)
+    sock.connect((host, port))
+    return sock
+
+
+def test_a_half_sent_frame_does_not_block_other_clients(daemon):
+    stalled = raw_connection(daemon)
+    try:
+        stalled.sendall(b'{"op":"pi')
+        assert served_alongside(daemon) == JOB_DONE
+        # the half frame was kept, not dropped: finishing it is answered
+        stalled.sendall(b'ng"}\n')
+        reply = recv_message(stalled.makefile("rb"))
+        assert reply["ok"] and reply["version"] == 1
+    finally:
+        stalled.close()
+
+
+def test_an_oversized_frame_is_refused_without_blocking_other_clients(
+        daemon, monkeypatch):
+    # the bound, not the megabytes, is under test: shrink it
+    monkeypatch.setattr(daemon_module, "MAX_LINE_BYTES", 4096)
+    monkeypatch.setattr(protocol, "MAX_LINE_BYTES", 4096)
+    greedy = raw_connection(daemon)
+    try:
+        greedy.sendall(b"x" * 5000)  # no newline yet: over the bound
+        stream = greedy.makefile("rb")
+        reply = recv_message(stream)
+        assert reply["error"] == "protocol" and "exceeds" in reply["message"]
+        assert stream.read() == b""  # answered once, then hung up
+        assert served_alongside(daemon) == JOB_DONE
+    finally:
+        greedy.close()
+
+
+def test_a_client_that_never_reads_does_not_block_other_clients(daemon):
+    with ServeClient(daemon.address, client="hoarder") as link:
+        job_id = link.submit(link.request(
+            systems=("G", "BV", "V"), workloads=("pagerank",),
+            datasets=("twitter",), cluster_sizes=(16, 32),
+            dataset_size="tiny"))
+        link.wait(job_id, timeout=120)
+    # ~230 KB per reply, 40 replies asked for and none read: far more
+    # than the socket buffers hold, so the daemon's send stays pending
+    hoarder = raw_connection(daemon, rcvbuf=4096)
+    try:
+        request_frame = dumps_message({"op": "results", "job": job_id})
+        hoarder.sendall(request_frame * 40)
+        assert served_alongside(daemon) == JOB_DONE
+        # nothing was dropped or reordered while the hoarder stalled
+        stream = hoarder.makefile("rb")
+        for _ in range(40):
+            batch = recv_message(stream)
+            assert batch["ok"] and len(batch["payloads"]) == 6
+    finally:
+        hoarder.close()
+
+
+def test_a_parked_wait_times_out_on_schedule():
+    server = stuck_daemon()
+    try:
+        with ServeClient(server.address, client="patient") as link:
+            job_id = link.submit(link.request(**SPEC))
+            start = time.monotonic()
+            reply = link.call({"op": "wait", "job": job_id, "timeout": 0.3})
+            waited = time.monotonic() - start
+        assert reply["error"] == "timeout" and reply["state"] == JOB_RUNNING
+        assert 0.3 <= waited < 2.0
+    finally:
+        server.stop()
+
+
+def test_frames_queued_behind_a_parked_wait_are_answered_in_order():
+    server = stuck_daemon()
+    try:
+        with ServeClient(server.address, client="eager") as link:
+            job_id = link.submit(link.request(**SPEC))
+        eager = raw_connection(server)
+        try:
+            # one write, two requests: the ping waits behind the wait
+            eager.sendall(
+                dumps_message({"op": "wait", "job": job_id, "timeout": 0.2})
+                + dumps_message({"op": "ping"}))
+            stream = eager.makefile("rb")
+            assert recv_message(stream)["error"] == "timeout"
+            assert recv_message(stream)["version"] == 1
+        finally:
+            eager.close()
+    finally:
+        server.stop()
+
+
+def test_serve_runs_on_one_thread_and_start_adds_exactly_one(tmp_path):
+    # in process: start() adds the loop's one thread, stop() joins it
+    before = threading.active_count()
+    server = ServeDaemon(address="127.0.0.1:0", cache=None).start()
+    try:
+        assert threading.active_count() == before + 1
+        assert served_alongside(server) == JOB_DONE
+        assert threading.active_count() == before + 1
+    finally:
+        server.stop()
+    assert threading.active_count() == before
+
+    # ``repro serve``: the whole process is one OS thread while serving
+    if not Path("/proc/self/task").is_dir():
+        pytest.skip("needs /proc to count a process's threads")
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED="1",
+               # numpy's BLAS keeps a native pool of its own; pin it to
+               # the calling thread so only the daemon's threads count
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--socket",
+         "127.0.0.1:0", "--no-cache", "--journal", ""],
+        cwd=str(tmp_path), env=env, stdout=subprocess.PIPE, text=True,
+    )
+    try:
+        line = proc.stdout.readline()
+        address = line.split("listening on ", 1)[1].split()[0]
+        tasks = Path(f"/proc/{proc.pid}/task")
+        with ServeClient(address, client="counter") as link:
+            job_id = link.submit(link.request(
+                systems=("G", "BV"), workloads=("pagerank",),
+                datasets=("twitter",), cluster_sizes=(16, 32),
+                dataset_size="tiny"))
+            running = len(list(tasks.iterdir()))
+            assert link.wait(job_id, timeout=120)["state"] == JOB_DONE
+            idle = len(list(tasks.iterdir()))
+            link.shutdown()
+        assert proc.wait(timeout=60) == 0
+        assert (running, idle) == (1, 1)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+        proc.communicate()
 
 
 # -- loadgen ----------------------------------------------------------------
