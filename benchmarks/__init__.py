@@ -1,5 +1,6 @@
-"""The benchmark harness: one module per reproduced table/figure.
+"""The paper-reproduction harness: one pytest module per table/figure.
 
-A package (not just a directory of pytest files) so the executor
-benchmark can run as ``python -m benchmarks.bench_grid``.
+Each module re-derives one reproduced result and prints its rows
+(``benchmarks/output/``); none of them times the host. Host timing is
+the repo benchmark's job: ``python3 perfbench/run.py --workload …``.
 """

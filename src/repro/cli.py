@@ -6,26 +6,29 @@ Subcommands mirror the study's workflow::
     repro run BV pagerank twitter -m 16 # one experiment cell
     repro grid wcc --log runs.jsonl     # one result figure (Figs 6-9)
     repro grid wcc --jobs 4 --resume    # same grid, parallel + resumable
-    repro bench-grid                    # time jobs=1 vs jobs=N -> BENCH_grid.json
     repro cost                          # Table 9 (the COST experiment)
     repro weak BV pagerank twitter      # the weak-scaling extension
     repro chaos --faults crash netsplit # fault injection: MTTR per system
     repro elastic --directions out in   # mid-run rescaling: cost per mechanism
+    repro bench-elastic                 # rescale economics -> BENCH_elastic.json
     repro report runs.jsonl -o out.md   # Markdown report from a log
-    repro report traces/ BENCH_grid.json # cost & perf report from journals
+    repro report traces/                # cost & perf report from journals
     repro report --diff old/ new/       # regression gate: exit 1 if slower
     repro trace trace.jsonl --summary   # inspect a run journal
     repro lint src/                     # enforce the model contracts (RPLxxx)
     repro serve                         # benchmark-as-a-service daemon
     repro submit pagerank --systems BB G # run a grid through the daemon
     repro serve-ctl stats               # query / shut down the daemon
-    repro serve-bench --clients 120     # Zipf load test -> BENCH_serve.json
 
 Grid and run executions go through :mod:`repro.exec`: independent cells
 fan out over ``--jobs`` worker processes, finished cells land in a
 content-addressed cache (``--cache-dir``, default ``.repro-cache``;
 ``--no-cache`` disables), and an interrupted grid picks up where it
 died with ``--resume``.
+
+Host timing of the program itself is the repo benchmark's job, not a
+subcommand's: ``python3 perfbench/run.py --workload
+{grid-cold,grid-warm,serve-zipf}`` (see ``perfbench/README.md``).
 
 Installed as the ``repro`` console script; also runnable via
 ``python -m repro.cli``.
@@ -104,18 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_exec_options(p)
 
     p = sub.add_parser(
-        "bench-grid",
-        help="time the benchmark PageRank grid at jobs=1 vs jobs=N",
-    )
-    p.add_argument("--jobs", type=int, default=None,
-                   help="parallel worker count (default: cpu count, min 2)")
-    p.add_argument("-o", "--output", default="BENCH_grid.json",
-                   help="where the JSON record goes")
-    p.add_argument("--history", default=None, metavar="FILE",
-                   help="append the record here as one JSON line (default: "
-                        "BENCH_history.jsonl next to the output; '' skips)")
-
-    p = sub.add_parser(
         "bench-elastic",
         help="benchmark mid-run rescaling per recovery mechanism "
              "-> BENCH_elastic.json",
@@ -124,9 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes (default: cpu count)")
     p.add_argument("-o", "--output", default="BENCH_elastic.json",
                    help="where the JSON record goes")
-    p.add_argument("--history", default=None, metavar="FILE",
-                   help="append the record here as one JSON line (default: "
-                        "BENCH_history.jsonl next to the output; '' skips)")
 
     p = sub.add_parser("cost", help="the COST experiment (Table 9)")
     p.add_argument("--datasets", nargs="+", default=["twitter", "uk0705", "wrn"])
@@ -209,24 +197,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "report",
-        help="perf & cost report — or regression diff — from logs, "
-             "journals, trace dirs, and bench records",
+        help="perf & cost report — or regression diff — from run, "
+             "scheduler and server journals, trace dirs, and runs-logs",
     )
     p.add_argument("paths", nargs="+", metavar="PATH",
-                   help="runs-log JSONL, run journal, trace directory, "
-                        "BENCH_grid.json, or BENCH_history.jsonl")
+                   help="runs-log JSONL, run/scheduler/server journal, or "
+                        "trace directory")
     p.add_argument("-o", "--output", help="write the report here (default stdout)")
     p.add_argument("--diff", action="store_true",
                    help="compare exactly two inputs; exit 1 on any "
                         "threshold-crossing regression (the CI gate)")
     p.add_argument("--threshold", type=float, default=0.05, metavar="REL",
-                   help="relative time-regression threshold for --diff "
-                        "(default 0.05 = 5%%)")
+                   help="relative time-regression threshold for --diff, "
+                        "finite and >= 0 (default 0.05 = 5%%)")
     p.add_argument("--cost-threshold", type=float, default=None, metavar="REL",
-                   help="relative dollars-regression threshold for --diff "
-                        "(default: same as --threshold)")
+                   help="relative dollars-regression threshold for --diff, "
+                        "finite and >= 0 (default: same as --threshold)")
     p.add_argument("--top", type=int, default=10,
-                   help="hot-span rows per input (default 10)")
+                   help="hot-span rows per input, >= 0 (default 10)")
 
     p = sub.add_parser(
         "trace", help="inspect or convert a run journal (JSONL)"
@@ -310,26 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="daemon address (default: .repro-serve.sock)")
     p.add_argument("--job", metavar="ID",
                    help="job id for status/cancel")
-
-    p = sub.add_parser(
-        "serve-bench",
-        help="seeded Zipf load test of the daemon -> BENCH_serve.json",
-    )
-    p.add_argument("--clients", type=int, default=120,
-                   help="simulated client count (default 120)")
-    p.add_argument("--seed", type=int, default=2018,
-                   help="load-pattern seed (default 2018)")
-    p.add_argument("--size", default="tiny", choices=("tiny", "small", "medium"),
-                   help="dataset size served (default tiny)")
-    p.add_argument("--max-queue", type=int, default=96, metavar="CELLS",
-                   help="admission-control bound in cells (default 96)")
-    p.add_argument("-o", "--output", default="BENCH_serve.json",
-                   help="where the JSON record goes")
-    p.add_argument("--history", default=None, metavar="FILE",
-                   help="append the record here as one JSON line (default: "
-                        "BENCH_history.jsonl next to the output; '' skips)")
-    p.add_argument("--journal", default=None, metavar="FILE",
-                   help="also write the daemon's _server.jsonl here")
 
     p = sub.add_parser(
         "lint",
@@ -496,18 +464,10 @@ def _cmd_grid(args) -> int:
     return 0
 
 
-def _cmd_bench_grid(args) -> int:
-    from .exec.bench import run_bench
-
-    run_bench(jobs=args.jobs, output=args.output, history=args.history)
-    return 0
-
-
 def _cmd_bench_elastic(args) -> int:
     from .elastic.bench import run_bench
 
-    record = run_bench(jobs=args.jobs, output=args.output,
-                       history=args.history)
+    record = run_bench(jobs=args.jobs, output=args.output)
     return 0 if record["bit_equal"] else 1
 
 
@@ -778,11 +738,11 @@ def _cmd_report(args) -> int:
                 )
             else:
                 perf_sources.append(perf.load_source(path))
+        if perf_sources:
+            sections.append(perf.render_report(perf_sources, top=args.top))
     except perf.ReportError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if perf_sources:
-        sections.append(perf.render_report(perf_sources, top=args.top))
     _emit_report("\n\n".join(sections), args.output)
     return 0
 
@@ -927,17 +887,6 @@ def _cmd_serve_ctl(args) -> int:
     return 0
 
 
-def _cmd_serve_bench(args) -> int:
-    from .serve.loadgen import run_loadgen
-
-    record = run_loadgen(
-        clients=args.clients, seed=args.seed, dataset_size=args.size,
-        max_queue_cells=args.max_queue, output=args.output,
-        history=args.history, journal=args.journal,
-    )
-    return 0 if record["bit_equal_spotcheck"] else 1
-
-
 def _cmd_lint(args) -> int:
     from .lint.cli import run_lint
 
@@ -957,7 +906,6 @@ _COMMANDS = {
     "datasets": _cmd_datasets,
     "run": _cmd_run,
     "grid": _cmd_grid,
-    "bench-grid": _cmd_bench_grid,
     "bench-elastic": _cmd_bench_elastic,
     "cost": _cmd_cost,
     "weak": _cmd_weak,
@@ -969,7 +917,6 @@ _COMMANDS = {
     "serve": _cmd_serve,
     "submit": _cmd_submit,
     "serve-ctl": _cmd_serve_ctl,
-    "serve-bench": _cmd_serve_bench,
     "lint": _cmd_lint,
 }
 

@@ -14,15 +14,13 @@ host-side wall time:
 * ``bit_equal`` — the gate: every rescaled run must return answers
   bit-identical to its fixed-size reference.
 
-Writes ``BENCH_elastic.json`` and appends one canonical JSON line to
-``BENCH_history.jsonl``, same trajectory contract as the grid and serve
-benches. Runnable as ``repro bench-elastic`` or
-``python -m benchmarks.bench_elastic``.
+Writes ``BENCH_elastic.json``. Run it as ``repro bench-elastic``. Host
+timing of the simulator itself is the repo benchmark's job
+(``perfbench/``); this record's value is its simulated economics.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 from pathlib import Path
@@ -31,7 +29,7 @@ from typing import Dict, List, Optional
 from ..obs.hostclock import host_now
 from .experiment import ElasticReport, elasticity_experiment
 
-__all__ = ["run_bench", "main", "BENCH_SCHEMA_VERSION"]
+__all__ = ["run_bench", "BENCH_SCHEMA_VERSION"]
 
 #: bump when the BENCH_elastic.json record layout changes
 BENCH_SCHEMA_VERSION = 1
@@ -57,15 +55,8 @@ def _mean_by(report: ElasticReport, key, value) -> Dict[str, float]:
 def run_bench(
     jobs: Optional[int] = None,
     output: str = "BENCH_elastic.json",
-    history: Optional[str] = None,
 ) -> dict:
-    """Run the rescale grid; write its JSON record + history line.
-
-    ``output`` holds only the latest record; each run also appends one
-    canonical JSON line to ``history`` (default: ``BENCH_history.jsonl``
-    next to ``output``) so the trajectory accumulates alongside the
-    grid and serve benches. Pass an empty string to skip the append.
-    """
+    """Run the rescale grid; write its JSON record to ``output``."""
     print(f"bench-elastic: rescale grid, systems {' '.join(BENCH_SYSTEMS)} "
           f"({BENCH_DATASET_SIZE} datasets)")
     start = host_now()
@@ -109,40 +100,13 @@ def run_bench(
     Path(output).write_text(
         json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="ascii"
     )
-    if history is None:
-        history = str(Path(output).with_name("BENCH_history.jsonl"))
-    if history:
-        with open(history, "a", encoding="ascii") as fh:
-            fh.write(json.dumps(record, sort_keys=True,
-                                separators=(",", ":")) + "\n")
     gate = "bit-equal" if record["bit_equal"] else "ANSWER MISMATCH"
     print(
         f"  {record['completed']}/{record['cells']} rescaled cells "
         f"completed ({gate}) in {host_seconds:.2f}s host -> {output}"
-        + (f" (+ history {history})" if history else "")
     )
     for mechanism, seconds in record["rescale_seconds_by_mechanism"].items():
         dollars = record["dollars_per_rescale"].get(mechanism)
         bill = f", ${dollars:.2f}/rescale" if dollars is not None else ""
         print(f"  {mechanism}: {seconds:.1f}s per rescale{bill}")
     return record
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry shared by ``repro bench-elastic`` and benchmarks/."""
-    parser = argparse.ArgumentParser(
-        prog="bench-elastic",
-        description="Benchmark mid-run rescaling across recovery mechanisms.",
-    )
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes (default: cpu count)")
-    parser.add_argument("-o", "--output", default="BENCH_elastic.json",
-                        help="where the JSON record goes")
-    parser.add_argument("--history", default=None, metavar="FILE",
-                        help="append the record here as one JSON line "
-                             "(default: BENCH_history.jsonl next to the "
-                             "output; pass '' to skip)")
-    args = parser.parse_args(argv)
-    record = run_bench(jobs=args.jobs, output=args.output,
-                       history=args.history)
-    return 0 if record["bit_equal"] else 1

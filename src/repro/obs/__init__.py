@@ -23,7 +23,7 @@ from .cost import (
     cost_event_from_events,
     cost_report_from_events,
 )
-from .hostclock import HostTimer, host_now, host_sleep
+from .hostclock import host_now, host_sleep
 from .journal import Journal, JournalError, build_journal
 from .metrics import (
     Counter,
@@ -86,7 +86,6 @@ __all__ = [
     "diff_sources",
     "load_source",
     "render_report",
-    "HostTimer",
     "host_now",
     "host_sleep",
 ]

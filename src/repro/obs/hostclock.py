@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 
-__all__ = ["host_now", "host_sleep", "HostTimer"]
+__all__ = ["host_now", "host_sleep"]
 
 
 def host_now() -> float:
@@ -34,24 +34,3 @@ def host_sleep(seconds: float) -> None:
     if seconds > 0:
         time.sleep(seconds)
 
-
-class HostTimer:
-    """Measures host seconds spent in a block of *simulator* code.
-
-    Usage::
-
-        with HostTimer() as timer:
-            grid = run_grid(spec)
-        print(f"simulated the grid in {timer.elapsed:.2f} host seconds")
-    """
-
-    def __init__(self) -> None:
-        self.start = 0.0
-        self.elapsed = 0.0
-
-    def __enter__(self) -> "HostTimer":
-        self.start = host_now()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.elapsed = host_now() - self.start

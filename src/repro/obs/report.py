@@ -1,10 +1,9 @@
 """Cross-run perf & cost reports and the regression gate.
 
 The analysis surface behind ``repro report``: load any mix of run
-journals, grid trace directories (``repro grid --trace``), bench
-records (``BENCH_grid.json`` / ``BENCH_history.jsonl``), and legacy
-runs-logs; aggregate spans flamegraph-style (self time per span name
-per engine); render cost-and-time comparison tables; and *diff* two
+journals, grid trace directories (``repro grid --trace``), scheduler
+and server journals, and legacy runs-logs; aggregate spans
+flamegraph-style (self time per span name per engine); render cost-and-time comparison tables; and *diff* two
 inputs with configurable relative thresholds so CI can gate on "did
 this PR make anything slower or more expensive".
 
@@ -12,11 +11,14 @@ Everything here is a pure function of the input bytes: loading sorts
 directory listings, rendering uses fixed float formats, and diffing
 walks keys in first-input order — the same inputs always produce
 byte-identical output (the property the CI gate and the tests pin).
+Host timing of the program itself is not a report input: the repo
+benchmark (``perfbench/``) measures and compares that.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -44,8 +46,6 @@ KIND_JOURNAL = "journal"
 KIND_SCHEDULER = "scheduler-journal"
 KIND_SERVER = "server-journal"
 KIND_TRACE_DIR = "trace-dir"
-KIND_BENCH = "bench"
-KIND_BENCH_HISTORY = "bench-history"
 KIND_LEGACY_LOG = "legacy-log"
 
 #: the grid-level cost counters the executor folds into _scheduler.jsonl
@@ -56,14 +56,12 @@ _SCHEDULER_COST_FIELDS = (
 
 
 class ReportError(ValueError):
-    """An input file is not a journal, trace dir, bench record, or log."""
+    """An input is not a journal, trace dir or log, or an option is invalid."""
 
 
 # -- input classification ---------------------------------------------------
 
 def _classify_event(event: dict, source: str) -> str:
-    if event.get("bench"):
-        return KIND_BENCH_HISTORY
     if event.get("type") == "meta":
         if event.get("kind") == "scheduler":
             return KIND_SCHEDULER
@@ -73,8 +71,8 @@ def _classify_event(event: dict, source: str) -> str:
     if "system" in event and "workload" in event:
         return KIND_LEGACY_LOG
     raise ReportError(
-        f"{source}: neither a run journal, a scheduler journal, a bench "
-        f"record, nor a runs-log"
+        f"{source}: neither a run, scheduler or server journal nor a "
+        f"runs-log"
     )
 
 
@@ -97,10 +95,7 @@ def classify_path(path: Union[str, Path]) -> str:
     except json.JSONDecodeError:
         whole = None
     if isinstance(whole, dict):
-        if whole.get("bench"):
-            return KIND_BENCH
-        kind = _classify_event(whole, str(path))
-        return kind if kind != KIND_BENCH_HISTORY else KIND_BENCH
+        return _classify_event(whole, str(path))
     first_line = stripped.splitlines()[0].strip()
     try:
         first = json.loads(first_line)
@@ -171,7 +166,6 @@ class PerfSource:
     runs: List[RunRow] = field(default_factory=list)
     schedulers: List[SchedulerRow] = field(default_factory=list)
     servers: List[ServerRow] = field(default_factory=list)
-    benches: List[dict] = field(default_factory=list)
 
 
 # -- loading ----------------------------------------------------------------
@@ -302,12 +296,6 @@ def load_source(path: Union[str, Path]) -> PerfSource:
         source.schedulers.append(_scheduler_row(Journal.read(p)))
     elif kind == KIND_SERVER:
         source.servers.append(_server_row(Journal.read(p)))
-    elif kind == KIND_BENCH:
-        source.benches.append(json.loads(p.read_text(encoding="ascii")))
-    elif kind == KIND_BENCH_HISTORY:
-        source.benches.extend(
-            _jsonl_events(p.read_text(encoding="ascii"), str(path))
-        )
     else:  # legacy runs-log
         for record in _jsonl_events(p.read_text(encoding="ascii"), str(path)):
             source.runs.append(_run_row_from_record(record))
@@ -324,8 +312,11 @@ def hot_span_rows(
 
     Self time is summed per (engine, span label) across every run;
     rows rank by self time (the flamegraph's widest leaves first) and
-    ``share`` is each row's fraction of all runs' self time.
+    ``share`` is each row's fraction of all runs' self time. A negative
+    ``top`` raises :class:`ReportError` (a slice would drop the tail).
     """
+    if top < 0:
+        raise ReportError(f"top must be >= 0, got {top}")
     groups: Dict[Tuple[str, str], Tuple[float, float, int]] = {}
     grand = 0.0
     for row in runs:
@@ -500,75 +491,6 @@ def _render_servers(servers: Sequence[ServerRow]) -> List[str]:
     return lines
 
 
-def _bench_field(record: dict, name: str) -> Optional[float]:
-    value = record.get(name)
-    if value is None and name == "speedup_warm":
-        value = record.get("speedup_warm_cache")
-    return None if value is None else float(value)
-
-
-def _render_serve_benches(benches: Sequence[dict]) -> List[str]:
-    lines = ["### Serve bench records", ""]
-    header = ("#", "clients", "jobs", "cells", "hit-rate", "p50 ms",
-              "p99 ms", "$", "bit-equal")
-    rows = []
-    for i, record in enumerate(benches):
-        def ms(name: str) -> str:
-            value = record.get(name)
-            return "-" if value is None else f"{float(value) * 1000:.0f}"
-
-        dollars = record.get("cost_dollars")
-        hit_rate = record.get("cache_hit_rate")
-        rows.append((
-            str(i),
-            str(record.get("clients", "-")),
-            str(record.get("jobs", "-")),
-            str(record.get("cells", "-")),
-            "-" if hit_rate is None else f"{float(hit_rate):.2f}",
-            ms("p50_latency"),
-            ms("p99_latency"),
-            "-" if dollars is None else f"{float(dollars):.2f}",
-            str(record.get("bit_equal_spotcheck", "-")),
-        ))
-    lines += _table(header, rows)
-    return lines
-
-
-def _render_benches(benches: Sequence[dict]) -> List[str]:
-    serve = [b for b in benches if b.get("bench") == "serve"]
-    benches = [b for b in benches if b.get("bench") != "serve"]
-    if not benches:
-        return _render_serve_benches(serve)
-    lines = ["### Bench records", ""]
-    header = ("#", "schema", "cells", "jobs", "jobs1 s", "cold s",
-              "warm s", "par x", "warm x")
-    rows = []
-    for i, record in enumerate(benches):
-        modes = record.get("modes", {})
-
-        def mode_seconds(name: str) -> str:
-            seconds = modes.get(name, {}).get("seconds")
-            return "-" if seconds is None else f"{float(seconds):.2f}"
-
-        par = _bench_field(record, "speedup_parallel")
-        warm = _bench_field(record, "speedup_warm")
-        rows.append((
-            str(i),
-            str(record.get("schema_version", 1)),
-            str(record.get("cells", "-")),
-            str(record.get("jobs", "-")),
-            mode_seconds("jobs1"),
-            mode_seconds("jobsN_cold"),
-            mode_seconds("jobsN_warm"),
-            "-" if par is None else f"{par:.2f}",
-            "-" if warm is None else f"{warm:.2f}",
-        ))
-    lines += _table(header, rows)
-    if serve:
-        lines += [""] + _render_serve_benches(serve)
-    return lines
-
-
 def render_report(sources: Sequence[PerfSource], top: int = 10) -> str:
     """The deterministic Markdown report for one or many inputs."""
     lines = ["# Perf & cost report"]
@@ -583,8 +505,6 @@ def render_report(sources: Sequence[PerfSource], top: int = 10) -> str:
             lines += [""] + _render_schedulers(source.schedulers)
         if source.servers:
             lines += [""] + _render_servers(source.servers)
-        if source.benches:
-            lines += [""] + _render_benches(source.benches)
     return "\n".join(lines)
 
 
@@ -621,7 +541,6 @@ class PerfDiff:
     missing: List[str] = field(default_factory=list)
     added: List[str] = field(default_factory=list)
     compared_runs: int = 0
-    compared_benches: int = 0
     compared_servers: int = 0
 
     @property
@@ -641,8 +560,7 @@ class PerfDiff:
         lines = [
             f"# Perf diff — {self.label_a} vs {self.label_b}",
             "",
-            f"compared {self.compared_runs} runs, "
-            f"{self.compared_benches} bench records"
+            f"compared {self.compared_runs} runs"
             + (f", {self.compared_servers} server journals"
                if self.compared_servers else "")
             + f" · time threshold ±{self.threshold:.1%} · cost threshold "
@@ -703,12 +621,18 @@ def diff_sources(
 ) -> PerfDiff:
     """Compare two inputs; ``b`` regressing past a threshold gates CI.
 
-    Runs pair by coordinate key, bench records and server journals by
-    position. Time, dollars, and serving latency percentiles regress
-    when they *rise* by more than the relative threshold; speedups and
-    the serving cache hit-rate regress when they *fall*. A run that
-    completed in ``a`` but failed in ``b`` is always a regression.
+    Runs pair by coordinate key, server journals by position. Time,
+    dollars, and serving latency percentiles regress when they *rise* by
+    more than the relative threshold; the serving cache hit-rate
+    regresses when it *falls*. A run that completed in ``a`` but failed
+    in ``b`` is always a regression. Each threshold must be finite and
+    ``>= 0``, else :class:`ReportError`: a negative one would report
+    every unchanged metric as moved.
     """
+    for name, value in (("threshold", threshold),
+                        ("cost threshold", cost_threshold)):
+        if value is not None and not (math.isfinite(value) and value >= 0):
+            raise ReportError(f"{name} must be finite and >= 0, got {value}")
     diff = PerfDiff(
         label_a=a.label,
         label_b=b.label,
@@ -746,36 +670,4 @@ def diff_sources(
                  sb.cache_hit_rate, threshold, worse="lower", fmt=".3f")
         _compare(diff, key, "dollars", sa.dollars, sb.dollars,
                  diff.cost_threshold)
-    for i, (ba, bb) in enumerate(zip(a.benches, b.benches)):
-        key = f"bench:{ba.get('bench', '?')}[{i}]"
-        diff.compared_benches += 1
-        if ba.get("bench") == "serve" or bb.get("bench") == "serve":
-            for name, worse, gate in (
-                ("p50_latency", "higher", threshold),
-                ("p99_latency", "higher", threshold),
-                ("cache_hit_rate", "lower", threshold),
-                ("cost_dollars", "higher", diff.cost_threshold),
-            ):
-                va, vb = ba.get(name), bb.get(name)
-                if va is None or vb is None:
-                    continue
-                _compare(diff, key, name, float(va), float(vb), gate,
-                         worse=worse)
-            continue
-        modes_a = ba.get("modes", {})
-        modes_b = bb.get("modes", {})
-        for mode in sorted(set(modes_a) & set(modes_b)):
-            sa = modes_a[mode].get("seconds")
-            sb = modes_b[mode].get("seconds")
-            if sa is None or sb is None:
-                continue
-            _compare(diff, key, f"{mode} seconds", float(sa), float(sb),
-                     threshold, fmt=".2f")
-        for name in ("speedup_parallel", "speedup_warm"):
-            va = _bench_field(ba, name)
-            vb = _bench_field(bb, name)
-            if va is None or vb is None:
-                continue
-            _compare(diff, key, name, va, vb, threshold, worse="lower",
-                     fmt=".2f")
     return diff

@@ -24,8 +24,9 @@ The package splits along the protocol/policy/mechanism seams:
   rejection, resumable result streams, grid reconstruction;
 * :mod:`~repro.serve.stats` — latency percentiles, hit-rate, and the
   per-client bill behind ``repro report``'s serving section;
-* :mod:`~repro.serve.loadgen` — the seeded Zipf load generator behind
-  ``repro serve-bench`` and ``BENCH_serve.json``.
+* :mod:`~repro.serve.loadgen` — the 40-cell catalog the repo
+  benchmark's serve-zipf workload draws its Zipf traffic from
+  (``python3 perfbench/run.py --workload serve-zipf``).
 """
 
 from .client import (

@@ -161,7 +161,12 @@ class ServeDaemon:
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> "ServeDaemon":
-        """Run the loop on one background thread (for in-process callers)."""
+        """Run the loop on one background thread; returns ``self``.
+
+        For in-process tests only (``repro serve`` and the benchmark run
+        :meth:`serve_forever` in their own process). The thread is also
+        the root the RPL021–RPL024 concurrency rules trace from.
+        """
         self._thread = threading.Thread(
             target=self.serve_forever, name="serve-loop", daemon=True
         )

@@ -9,8 +9,7 @@ client's simulated bill (the sum of its jobs' ``cost.dollars``, which
 
 The stats render two ways:
 
-* ``snapshot()`` — the ``stats`` protocol response and the loadgen's
-  record body;
+* ``snapshot()`` — the ``stats`` protocol response;
 * ``observation()`` — the daemon's own journal, written to
   ``_server.jsonl`` at shutdown: meta ``kind="server"`` with the
   headline aggregates, one ``job`` span per served job, and
@@ -126,7 +125,7 @@ class ServerStats:
         return self.cache_hits / self.cells if self.cells else 0.0
 
     def snapshot(self, evictions: int = 0) -> dict:
-        """The aggregate view: the ``stats`` response / bench record body.
+        """The aggregate view: the body of the ``stats`` response.
 
         ``evictions`` is the shared result cache's own counter, read by
         the caller when it asks (the cache is not the stats' to mirror).

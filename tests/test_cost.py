@@ -29,7 +29,6 @@ from repro.obs.cost import (
     cost_report_from_events,
 )
 from repro.obs.report import (
-    KIND_BENCH,
     KIND_JOURNAL,
     KIND_SCHEDULER,
     KIND_TRACE_DIR,
@@ -296,9 +295,11 @@ class TestReport:
         assert classify_path(trace_dir) == KIND_TRACE_DIR
         assert classify_path(journals[0]) == KIND_JOURNAL
         assert classify_path(trace_dir / "_scheduler.jsonl") == KIND_SCHEDULER
+        # bench records are not report inputs (perfbench compares runs)
         bench = tmp_path / "BENCH_grid.json"
         bench.write_text(json.dumps({"bench": "grid", "modes": {}}))
-        assert classify_path(bench) == KIND_BENCH
+        with pytest.raises(ReportError):
+            classify_path(bench)
         with pytest.raises(ReportError):
             classify_path(tmp_path / "missing.jsonl")
 
@@ -349,25 +350,6 @@ class TestReport:
                              cost_threshold=0.6)
         assert loose.exit_code == 0
 
-    def test_bench_record_diff(self, tmp_path):
-        record = {
-            "bench": "grid",
-            "schema_version": 2,
-            "modes": {"jobs1": {"seconds": 10.0},
-                      "jobsN_warm": {"seconds": 2.0}},
-            "speedup_parallel": 2.0,
-            "speedup_warm": 5.0,
-        }
-        worse = dict(record, speedup_parallel=1.0,
-                     modes={"jobs1": {"seconds": 10.0},
-                            "jobsN_warm": {"seconds": 2.0}})
-        before, after = tmp_path / "before.json", tmp_path / "after.json"
-        before.write_text(json.dumps(record))
-        after.write_text(json.dumps(worse))
-        diff = diff_sources(load_source(before), load_source(after))
-        assert diff.exit_code == 1
-        assert any("speedup_parallel" in e.render() for e in diff.regressions)
-
 
 class TestReportCli:
     def test_report_renders_and_diff_gates(self, tmp_path, capsys):
@@ -387,6 +369,30 @@ class TestReportCli:
         rewrite_journals(b, slow)
         assert main(["report", "--diff", str(a), str(b)]) == 1
         assert "REGRESSION" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--threshold", "-0.01"),
+        ("--threshold", "nan"),
+        ("--threshold", "inf"),
+        ("--cost-threshold", "-0.5"),
+        ("--cost-threshold", "nan"),
+        ("--top", "-3"),
+    ])
+    def test_invalid_threshold_or_top_exits_2(self, tmp_path, capsys, flag,
+                                              value):
+        a = write_trace_dir(tmp_path, "a")
+        paths = [str(a)] if flag == "--top" else ["--diff", str(a), str(a)]
+        assert main(["report", flag, value, *paths]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "must be" in err
+        # the library rejects the same value
+        with pytest.raises(ReportError):
+            if flag == "--top":
+                render_report([load_source(a)], top=int(value))
+            else:
+                option = flag[2:].replace("-", "_")
+                diff_sources(load_source(a), load_source(a),
+                             **{option: float(value)})
 
     def test_diff_wants_exactly_two_sources(self, tmp_path, capsys):
         a = write_trace_dir(tmp_path, "a")

@@ -245,13 +245,13 @@ def test_bench_elastic_record_is_gated_and_deterministic(tmp_path):
     from repro.elastic.bench import run_bench
 
     output = tmp_path / "BENCH_elastic.json"
-    history = tmp_path / "history.jsonl"
-    record = run_bench(output=str(output), history=str(history))
+    record = run_bench(output=str(output))
     assert record["bit_equal"] is True
     assert record["completed"] == record["cells"] == 16
     written = json.loads(output.read_text())
     assert written["bench"] == "elastic"
-    assert len(history.read_text().splitlines()) == 1
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "BENCH_elastic.json"]
 
     seconds = record["rescale_seconds_by_mechanism"]
     assert set(seconds) == {"checkpoint", "reexecution", "none"}
@@ -261,7 +261,7 @@ def test_bench_elastic_record_is_gated_and_deterministic(tmp_path):
 
     # simulated quantities are pure functions of the seed; only
     # host_seconds may differ between runs
-    again = run_bench(output=str(tmp_path / "again.json"), history="")
+    again = run_bench(output=str(tmp_path / "again.json"))
     for field in ("cells", "completed", "bit_equal",
                   "rescale_seconds_by_mechanism", "dollars_per_rescale",
                   "mean_overhead_seconds", "tolerance"):

@@ -9,7 +9,6 @@ byte-identical per-cell journals), with overlapping submissions served
 from the shared warm cache instead of recomputed.
 """
 
-import json
 import os
 import socket
 import subprocess
@@ -300,6 +299,16 @@ def test_served_grids_are_bit_equal_to_the_oneshot_executor(daemon):
         record = payload["record"]
         assert payload["journal"] == expected[
             record["system"], record["cluster_size"]]
+
+    # each distinct cell runs once across the overlapping clients; every
+    # other served cell is a replay from the shared cache
+    cells = [(system, size) for shape in overlapping_specs().values()
+             for system in shape["systems"] for size in shape["sizes"]]
+    with ServeClient(daemon.address, client="monitor") as link:
+        stats = link.stats()["stats"]
+    assert stats["cells"] == len(cells)
+    assert stats["executed"] == len(set(cells))
+    assert stats["cache_hits"] == len(cells) - len(set(cells))
 
 
 def test_overlapping_submissions_hit_the_shared_cache(daemon):
@@ -918,39 +927,3 @@ def test_serve_runs_on_one_thread_and_start_adds_exactly_one(tmp_path):
         if proc.poll() is None:
             proc.kill()
         proc.communicate()
-
-
-# -- loadgen ----------------------------------------------------------------
-
-
-def test_loadgen_is_seeded_deterministic_and_bit_equal(tmp_path):
-    from repro.serve.loadgen import run_loadgen
-
-    output = tmp_path / "BENCH_serve.json"
-    history = tmp_path / "history.jsonl"
-    record = run_loadgen(
-        clients=8, seed=11, dataset_size="tiny", max_queue_cells=16,
-        output=str(output), history=str(history),
-    )
-    assert record["bit_equal_spotcheck"] is True
-    assert record["jobs"] == 8
-    assert record["cells"] >= 8
-    assert record["executed"] == record["distinct_cells"]
-    assert record["cache_hit_rate"] == pytest.approx(
-        1.0 - record["distinct_cells"] / record["cells"])
-    written = json.loads(output.read_text())
-    assert written["bench"] == "serve"
-    assert len(history.read_text().splitlines()) == 1
-    # the record classifies and renders through the report stack
-    assert perf.classify_path(output) == perf.KIND_BENCH
-    report = perf.render_report([perf.load_source(output)])
-    assert "Serve bench records" in report
-
-    # same seed, same deterministic quantities (latencies are host-bound)
-    again = run_loadgen(
-        clients=8, seed=11, dataset_size="tiny", max_queue_cells=16,
-        output=None, history=str(tmp_path / "h2.jsonl"),
-    )
-    for field in ("cells", "distinct_cells", "executed", "cache_hit_rate",
-                  "cost_dollars"):
-        assert again[field] == record[field]
